@@ -1,6 +1,9 @@
 # Development targets for the HyPPI NoC reproduction.
 #
-#   make ci            — the full gate, fast checks first: vet, short, race-short, full tests
+#   make ci            — the full gate, fast checks first: vet, benchmark-module build,
+#                        short, race-short, full tests
+#   make perfbench-build — vet and build the perfbench/ benchmark module (a
+#                        separate Go module root ./... does not reach)
 #   make test          — full (non-short) test suite
 #   make short         — fast feedback loop (seconds, scaled-down workloads)
 #   make race          — race-enabled short suite (the concurrency gate)
@@ -33,14 +36,22 @@ GO ?= go
 # pinned baseline.
 BENCH_OUT ?= /tmp/hyppi-bench-current.txt
 
-.PHONY: ci vet test short race fmt-check bench bench-baseline bench-compare scale-smoke golden golden-serve examples-smoke serve-smoke fault-smoke taskgraph-smoke telemetry-smoke
+.PHONY: ci vet perfbench-build test short race fmt-check bench bench-baseline bench-compare scale-smoke golden golden-serve examples-smoke serve-smoke fault-smoke taskgraph-smoke telemetry-smoke
 
-# Ordered so the cheapest gates fail first: vet (seconds), short
-# (seconds), race-short (tens of seconds), then the full suite.
-ci: vet short race test
+# Ordered so the cheapest gates fail first: vet (seconds), the benchmark
+# module build (seconds), short (seconds), race-short (tens of seconds),
+# then the full suite.
+ci: vet perfbench-build short race test
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is its own module (replace repro => ../), so root builds skip
+# it: a renamed or removed core name would otherwise only surface when the
+# benchmark pipeline runs. -o /dev/null keeps the main package's binary out
+# of the module directory.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 test:
 	$(GO) test ./...

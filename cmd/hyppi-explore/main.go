@@ -205,7 +205,7 @@ func run() int {
 			return 1
 		}
 		if *patterns != "" {
-			if err := runTopologyPatternSweep(kinds, *patterns, o, simW, simH, *workers); err != nil {
+			if err := runPatternSweep(kinds, *patterns, o, simW, simH, *workers); err != nil {
 				fmt.Fprintln(os.Stderr, "hyppi-explore:", err)
 				return 1
 			}
@@ -220,7 +220,7 @@ func run() int {
 	}
 
 	if *patterns != "" && !*energyFlag {
-		if err := runPatternSweep(*patterns, o, simW, simH, *workers); err != nil {
+		if err := runPatternSweep(nil, *patterns, o, simW, simH, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, "hyppi-explore:", err)
 			return 1
 		}
@@ -296,48 +296,31 @@ func runKindComparison(kinds []topology.Kind, o core.Options, workers int) error
 	return nil
 }
 
-// runTopologyPatternSweep runs the full topology × pattern × load matrix
-// with the cycle-accurate simulator on an 8×8 grid, one plain electronic
-// fabric per kind.
-func runTopologyPatternSweep(kinds []topology.Kind, spec string, o core.Options, simW, simH, workers int) error {
-	pats, err := traffic.ParsePatterns(spec)
-	if err != nil {
-		return err
-	}
-	o.Topology.Width, o.Topology.Height = simW, simH
-	sc := core.DefaultPatternSweep()
-	results, err := core.TopologyPatternSweep(context.Background(), kinds, pats, sc, o,
-		runner.Config{Workers: workers})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nTopology × pattern saturation sweep (%d×%d, cycle-accurate, rates %v)\n", simW, simH, sc.Rates)
-	fmt.Println("latency-knee rule: saturation = lowest rate with avg > 3x zero-load, or no drain")
-	fmt.Print(report.SaturationTable(results))
-	return nil
-}
-
 // runPatternSweep follows the analytic exploration with a cycle-accurate
-// saturation sweep of the named registry patterns on an 8×8 grid,
-// comparing the plain electronic mesh against the paper's headline
-// E + HyPPI express@3 hybrid.
-func runPatternSweep(spec string, o core.Options, simW, simH, workers int) error {
+// saturation sweep of the named registry patterns on the -grid geometry:
+// without kinds, the plain electronic mesh against the paper's headline
+// E + HyPPI express@3 hybrid; with kinds, the full topology × pattern ×
+// load matrix, one plain electronic fabric per kind.
+func runPatternSweep(kinds []topology.Kind, spec string, o core.Options, simW, simH, workers int) error {
 	pats, err := traffic.ParsePatterns(spec)
 	if err != nil {
 		return err
 	}
 	o.Topology.Width, o.Topology.Height = simW, simH
-	points := []core.DesignPoint{
-		{Base: tech.Electronic, Express: tech.Electronic, Hops: 0},
-		{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3},
+	title := "Topology × pattern"
+	points := []core.DesignPoint{{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}}
+	if kinds == nil {
+		title = "Synthetic-pattern"
+		kinds = []topology.Kind{topology.Mesh}
+		points = append(points, core.DesignPoint{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3})
 	}
-	sc := core.DefaultPatternSweep()
-	results, err := core.PatternSweep(context.Background(), points, pats, sc, o,
+	sc := core.DefaultEnergySweep()
+	results, err := core.PatternSweep(context.Background(), kinds, points, pats, sc, o,
 		runner.Config{Workers: workers})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nSynthetic-pattern saturation sweep (%d×%d, cycle-accurate, rates %v)\n", simW, simH, sc.Rates)
+	fmt.Printf("\n%s saturation sweep (%d×%d, cycle-accurate, rates %v)\n", title, simW, simH, sc.Rates)
 	fmt.Println("latency-knee rule: saturation = lowest rate with avg > 3x zero-load, or no drain")
 	fmt.Print(report.SaturationTable(results))
 	return nil

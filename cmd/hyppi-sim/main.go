@@ -94,21 +94,37 @@ import (
 // sweepHops are the express hop lengths of the Fig. 6 comparison.
 var sweepHops = []int{0, 3, 5, 15}
 
-// patternHopLadder is the pattern sweep's express hop ladder at a grid
-// width: plain mesh, the paper's short and mid hops, and the W−1 row
-// closure — dropping rungs the width cannot host and duplicates (e.g.
-// W = 4, where 3 already is the closure).
-func patternHopLadder(w int) []int {
-	var out []int
+// meshLadder reports whether a kind selection is the lone mesh, where the
+// express hop ladder competes instead of one plain fabric per kind.
+func meshLadder(kinds []topology.Kind) bool {
+	return len(kinds) == 1 && kinds[0] == topology.Mesh
+}
+
+// sweepPoints is the design-point axis of the cycle-accurate sweeps. On
+// the lone mesh kind it is the grid's analog of the paper's hop ladder:
+// plain mesh, the short and mid hops, and the W−1 row closure (the
+// counterpart of hops=15 on the 16-wide mesh), dropping rungs the width
+// cannot host and duplicates (e.g. W = 4, where 3 already is the
+// closure). Other kinds take no express channels: one plain electronic
+// fabric per kind.
+func sweepPoints(kinds []topology.Kind, exTech tech.Technology, width int) []core.DesignPoint {
+	if !meshLadder(kinds) {
+		return []core.DesignPoint{{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}}
+	}
+	var points []core.DesignPoint
 	seen := map[int]bool{}
-	for _, h := range []int{0, 3, 5, w - 1} {
-		if h < 0 || h >= w || seen[h] {
+	for _, h := range []int{0, 3, 5, width - 1} {
+		if h < 0 || h >= width || seen[h] {
 			continue
 		}
 		seen[h] = true
-		out = append(out, h)
+		ex := exTech
+		if h == 0 {
+			ex = tech.Electronic // plain mesh: express tech is unused
+		}
+		points = append(points, core.DesignPoint{Base: tech.Electronic, Express: ex, Hops: h})
 	}
-	return out
+	return points
 }
 
 // Flag usage strings are package level so the usage test can assert every
@@ -258,10 +274,8 @@ func run() int {
 			err = runFaultSweep(kinds, *pattern, *variantFlag, exTech, *csvOut, o, pool)
 		case *energySweep:
 			err = runEnergySweep(kinds, *pattern, exTech, o, pool)
-		case len(kinds) == 1 && kinds[0] == topology.Mesh:
-			err = runPatternSweep(*pattern, exTech, o, pool)
 		default:
-			err = runTopologySweep(kinds, *pattern, o, pool)
+			err = runPatternSweep(kinds, *pattern, exTech, o, pool)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
@@ -366,22 +380,9 @@ func runEnergySweep(kinds []topology.Kind, spec string, exTech tech.Technology,
 	if err != nil {
 		return err
 	}
-	var points []core.DesignPoint
-	if len(kinds) == 1 && kinds[0] == topology.Mesh {
-		// The grid's analog of the paper's hop ladder (W−1 = ring closure).
-		for _, hops := range patternHopLadder(o.Topology.Width) {
-			ex := exTech
-			if hops == 0 {
-				ex = tech.Electronic
-			}
-			points = append(points, core.DesignPoint{Base: tech.Electronic, Express: ex, Hops: hops})
-		}
-	} else {
-		// Non-mesh kinds take no express channels: plain fabric per kind.
-		points = []core.DesignPoint{{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}}
-	}
 	sc := core.DefaultEnergySweep()
-	results, err := core.EnergySweep(context.Background(), kinds, points, patterns, sc, o, pool)
+	results, err := core.EnergySweep(context.Background(), kinds,
+		sweepPoints(kinds, exTech, o.Topology.Width), patterns, sc, o, pool)
 	if err != nil {
 		return err
 	}
@@ -411,20 +412,9 @@ func runFaultSweep(kinds []topology.Kind, spec, variantSpec string, exTech tech.
 	if err != nil {
 		return err
 	}
-	var points []core.DesignPoint
-	if len(kinds) == 1 && kinds[0] == topology.Mesh {
-		for _, hops := range patternHopLadder(o.Topology.Width) {
-			ex := exTech
-			if hops == 0 {
-				ex = tech.Electronic
-			}
-			points = append(points, core.DesignPoint{Base: tech.Electronic, Express: ex, Hops: hops})
-		}
-	} else {
-		points = []core.DesignPoint{{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}}
-	}
 	sc := core.DefaultFaultSweep()
-	results, err := core.FaultSweep(context.Background(), kinds, points, variants, patterns, sc, o, pool)
+	results, err := core.FaultSweep(context.Background(), kinds,
+		sweepPoints(kinds, exTech, o.Topology.Width), variants, patterns, sc, o, pool)
 	if err != nil {
 		return err
 	}
@@ -451,22 +441,14 @@ func runTaskGraphSweep(kinds []topology.Kind, spec string, exTech tech.Technolog
 		return err
 	}
 	sc := core.DefaultTaskGraphSweep()
+	points := sweepPoints(kinds, exTech, o.Topology.Width)
 	var results []core.TaskGraphResult
-	if len(kinds) == 1 && kinds[0] == topology.Mesh {
-		var points []core.DesignPoint
-		for _, hops := range patternHopLadder(o.Topology.Width) {
-			ex := exTech
-			if hops == 0 {
-				ex = tech.Electronic
-			}
-			points = append(points, core.DesignPoint{Base: tech.Electronic, Express: ex, Hops: hops})
+	for _, k := range kinds {
+		rs, err := core.TaskGraphSweep(context.Background(), points, gens, sc, o.WithKind(k), pool)
+		if err != nil {
+			return err
 		}
-		results, err = core.TaskGraphSweep(context.Background(), points, gens, sc, o, pool)
-	} else {
-		results, err = core.TopologyTaskGraphSweep(context.Background(), kinds, gens, sc, o, pool)
-	}
-	if err != nil {
-		return err
+		results = append(results, rs...)
 	}
 	if csvOut {
 		return report.WriteTaskGraphSweep(os.Stdout, results)
@@ -478,67 +460,36 @@ func runTaskGraphSweep(kinds []topology.Kind, spec string, exTech tech.Technolog
 	return nil
 }
 
-// runTopologySweep sweeps the named registry patterns over offered load on
-// every selected topology kind (8×8 grid, plain electronic fabrics) — the
-// full topology × pattern × load matrix on the worker pool.
-func runTopologySweep(kinds []topology.Kind, spec string, o core.Options, pool runner.Config) error {
-	patterns, err := traffic.ParsePatterns(spec)
-	if err != nil {
-		return err
-	}
-	sc := core.DefaultPatternSweep()
-	results, err := core.TopologyPatternSweep(context.Background(), kinds, patterns, sc, o, pool)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d×%d topology × pattern saturation sweep, rates = %v\n",
-		o.Topology.Width, o.Topology.Height, sc.Rates)
-	for _, r := range results {
-		fmt.Printf("\n%v / %s\n", r.Kind, r.Pattern)
-		for _, p := range r.Curve {
-			if p.Saturated {
-				fmt.Printf("  rate %-6.3g saturated (failed to drain)\n", p.InjectionRate)
-				continue
-			}
-			fmt.Printf("  rate %-6.3g avg %-8.1f p99 %.1f\n",
-				p.InjectionRate, p.AvgLatencyClks, p.P99LatencyClks)
-		}
-	}
-	fmt.Println("\nSaturation summary (latency-knee rule: avg > 3x zero-load, or no drain)")
-	fmt.Print(report.SaturationTable(results))
-	return nil
-}
-
 // runPatternSweep sweeps one registry pattern (or all of them) over
-// offered load on an 8×8 grid — the cycle-accurate scale the examples
-// use — for the plain electronic mesh and the express hybrids, printing
-// each configuration's load-latency curve and its latency-knee
-// saturation throughput (see noc.DetectSaturation).
-func runPatternSweep(spec string, exTech tech.Technology, o core.Options, pool runner.Config) error {
+// offered load on the -grid geometry — on the lone mesh kind the plain
+// electronic mesh against the express hop ladder, otherwise one plain
+// electronic fabric per selected kind — printing each configuration's
+// load-latency curve and its latency-knee saturation throughput (see
+// noc.DetectSaturation).
+func runPatternSweep(kinds []topology.Kind, spec string, exTech tech.Technology, o core.Options, pool runner.Config) error {
 	patterns, err := traffic.ParsePatterns(spec)
 	if err != nil {
 		return err
 	}
-	// The grid's analog of the paper's hop ladder: W−1 closes each row
-	// into a ring, the counterpart of hops=15 on the 16-wide mesh.
-	patternHops := patternHopLadder(o.Topology.Width)
-	points := make([]core.DesignPoint, 0, len(patternHops))
-	for _, hops := range patternHops {
-		ex := exTech
-		if hops == 0 {
-			ex = tech.Electronic // plain mesh: express tech is unused
-		}
-		points = append(points, core.DesignPoint{Base: tech.Electronic, Express: ex, Hops: hops})
-	}
-	sc := core.DefaultPatternSweep()
-	results, err := core.PatternSweep(context.Background(), points, patterns, sc, o, pool)
+	sc := core.DefaultEnergySweep()
+	results, err := core.PatternSweep(context.Background(), kinds,
+		sweepPoints(kinds, exTech, o.Topology.Width), patterns, sc, o, pool)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d×%d pattern saturation sweep, express = %v, rates = %v\n",
-		o.Topology.Width, o.Topology.Height, exTech, sc.Rates)
+	if meshLadder(kinds) {
+		fmt.Printf("%d×%d pattern saturation sweep, express = %v, rates = %v\n",
+			o.Topology.Width, o.Topology.Height, exTech, sc.Rates)
+	} else {
+		fmt.Printf("%d×%d topology × pattern saturation sweep, rates = %v\n",
+			o.Topology.Width, o.Topology.Height, sc.Rates)
+	}
 	for _, r := range results {
-		fmt.Printf("\n%v / %s\n", r.Point, r.Pattern)
+		if meshLadder(kinds) {
+			fmt.Printf("\n%v / %s\n", r.Point, r.Pattern)
+		} else {
+			fmt.Printf("\n%v / %s\n", r.Kind, r.Pattern)
+		}
 		for _, p := range r.Curve {
 			if p.Saturated {
 				fmt.Printf("  rate %-6.3g saturated (failed to drain)\n", p.InjectionRate)
@@ -570,19 +521,8 @@ func runTelemetry(kind topology.Kind, spec, traceOut string, probeWindow int64,
 	if probeWindow > 0 {
 		sc.Telemetry.ProbeWindowClks = probeWindow
 	}
-	var points []core.DesignPoint
-	if kind == topology.Mesh {
-		for _, hops := range patternHopLadder(o.Topology.Width) {
-			ex := exTech
-			if hops == 0 {
-				ex = tech.Electronic // plain mesh: express tech is unused
-			}
-			points = append(points, core.DesignPoint{Base: tech.Electronic, Express: ex, Hops: hops})
-		}
-	} else {
-		points = []core.DesignPoint{{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}}
-	}
-	results, err := core.TelemetrySweep(context.Background(), points, patterns, sc, o, pool)
+	results, err := core.TelemetrySweep(context.Background(),
+		sweepPoints([]topology.Kind{kind}, exTech, o.Topology.Width), patterns, sc, o, pool)
 	if err != nil {
 		return err
 	}

@@ -36,12 +36,13 @@
 //
 // Beyond the paper's workloads, internal/traffic carries a registry of
 // named synthetic patterns (uniform, transpose, bitcomp, bitrev, shuffle,
-// tornado, neighbor, hotspot); noc.PatternLoadLatencyCurves and
-// core.PatternSweep measure each pattern's saturation throughput with the
-// latency-knee rule documented at noc.DetectSaturation. Beyond the
-// paper's fabric, internal/topology carries a registry of named topology
-// kinds (mesh, torus, cmesh, fbfly) sharing one Link/NodeID model;
-// core.ExploreKinds and core.TopologyPatternSweep sweep the kind axis,
+// tornado, neighbor, hotspot); core.PatternSweep walks each pattern's
+// load ladder (noc.LoadLatencyCurveContext) and measures its saturation
+// throughput with the latency-knee rule documented at
+// noc.DetectSaturation. Beyond the paper's fabric, internal/topology
+// carries a registry of named topology kinds (mesh, torus, cmesh, fbfly)
+// sharing one Link/NodeID model; core.ExploreKinds and the kind axis of
+// core.PatternSweep (and of EnergySweep and FaultSweep) sweep them,
 // and a cross-topology conformance suite pins each kind's routing
 // contract. See README.md for both registries' formulas and CLI usage.
 package repro

@@ -77,7 +77,7 @@ func main() {
 	for _, r := range results {
 		for _, p := range r.Points {
 			if p.Pareto {
-				owned[key{r.Pattern, r.PointLabel()}]++
+				owned[key{r.Pattern, r.Point.Label(r.Kind)}]++
 				total[r.Pattern]++
 			}
 		}
@@ -88,8 +88,8 @@ func main() {
 			if r.Pattern != pat.Name() {
 				continue
 			}
-			n := owned[key{r.Pattern, r.PointLabel()}]
-			fmt.Printf("    %-40s %d/%d\n", r.PointLabel(), n, total[r.Pattern])
+			n := owned[key{r.Pattern, r.Point.Label(r.Kind)}]
+			fmt.Printf("    %-40s %d/%d\n", r.Point.Label(r.Kind), n, total[r.Pattern])
 		}
 	}
 
@@ -119,7 +119,7 @@ func main() {
 		if p := pick(r.Points); p != nil {
 			d := p.Run.Dynamic
 			fmt.Printf("  %-40s links %s (E %s, HyPPI %s)  buffers %s  xbar %s  E/O+O/E %s\n",
-				r.PointLabel(),
+				r.Point.Label(r.Kind),
 				core.FormatEnergy(d.WireJ+d.ModulatorJ+d.SerdesJ+d.ReceiverJ),
 				core.FormatEnergy(d.LinkJ[tech.Electronic]),
 				core.FormatEnergy(d.LinkJ[tech.HyPPI]),

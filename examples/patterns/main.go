@@ -25,6 +25,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/tech"
+	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -35,8 +36,8 @@ func main() {
 		{Base: tech.Electronic, Express: tech.Electronic, Hops: 0},
 		{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3},
 	}
-	sc := core.DefaultPatternSweep()
-	results, err := core.PatternSweep(context.Background(), points,
+	sc := core.DefaultEnergySweep()
+	results, err := core.PatternSweep(context.Background(), []topology.Kind{topology.Mesh}, points,
 		traffic.Patterns(), sc, o, runner.Config{})
 	if err != nil {
 		log.Fatal(err)

@@ -57,8 +57,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc := core.DefaultPatternSweep()
-	results, err := core.TopologyPatternSweep(context.Background(), kinds, pats, sc, o, runner.Config{})
+	sc := core.DefaultEnergySweep()
+	plain := []core.DesignPoint{{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}}
+	results, err := core.PatternSweep(context.Background(), kinds, plain, pats, sc, o, runner.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

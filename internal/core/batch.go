@@ -8,10 +8,8 @@ import (
 	"repro/internal/energy"
 	"repro/internal/noc"
 	"repro/internal/npb"
-	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -65,14 +63,12 @@ type EvalCellResult struct {
 	CLEAR energy.CLEAR
 }
 
-// evalEnv is the shared, read-only per-(kind, geometry, point) context of
-// a batch: the built network, its routing table and — when any cell of
-// the batch prices energy — the folded energy model.
+// evalEnv is the shared, read-only per-(kind, geometry, point) fabric of
+// a batch — priced when any of its cells prices energy — or the error
+// resolving it.
 type evalEnv struct {
-	net   *topology.Network
-	tab   *routing.Table
-	model *energy.Model
-	err   error
+	fabric
+	err error
 }
 
 type evalEnvKey struct {
@@ -125,11 +121,11 @@ func EvalCells(ctx context.Context, cells []EvalCell, sc EnergySweepConfig, o Op
 		env, ok := envs[key]
 		if !ok {
 			env = &evalEnv{}
-			env.net, env.tab, env.err = c.options(o).NetworkAndTable(c.Point)
+			env.fabric, env.err = c.options(o).resolve(c.Point, false)
 			envs[key] = env
 		}
 		if c.Energy && env.err == nil && env.model == nil {
-			env.model, env.err = energy.NewModel(env.net, o.DSENT)
+			env.fabric, env.err = env.priced(o.DSENT)
 		}
 	}
 	sims := noc.NewSimPool()
@@ -157,49 +153,32 @@ func evalOneCell(c EvalCell, env *evalEnv, sc EnergySweepConfig, sims *noc.SimPo
 		if c.Rate <= 0 {
 			return fail(fmt.Errorf("pattern cell needs a positive rate, got %v", c.Rate))
 		}
-		base, err := c.Pattern.Generate(env.net, 1)
+		base, err := patternBase(env.fabric, c.Pattern)
 		if err != nil {
 			return fail(err)
 		}
-		if err := base.Validate(); err != nil {
-			return fail(err)
-		}
-		pkts, err = sc.Workload.Generate(env.net, base.ScaledToMaxRate(c.Rate))
-		if err != nil {
+		if pkts, err = sc.Workload.Generate(env.net, base.ScaledToMaxRate(c.Rate)); err != nil {
 			return fail(err)
 		}
 	case c.Trace != nil:
-		events, err := npb.Generate(*c.Trace)
-		if err != nil {
-			return fail(err)
-		}
-		pkts, err = trace.Packetize(events, env.net.NumNodes(), trace.DefaultPacketize())
-		if err != nil {
+		var err error
+		if pkts, err = tracePackets(*c.Trace, env.net.NumNodes()); err != nil {
 			return fail(err)
 		}
 	default:
 		return fail(fmt.Errorf("cell has neither a pattern nor a trace"))
 	}
 
-	sim, err := sims.Get(env.net, env.tab, sc.NoC)
-	if err != nil {
-		return fail(err)
-	}
-	if err := sim.InjectAll(pkts); err != nil {
-		sims.Put(sim)
-		return fail(err)
-	}
-	st, runErr := sim.Run()
-	sims.Put(sim)
+	st, err := simulate(sims, env.net, env.tab, sc.NoC, workload{pkts: pkts})
 	res := EvalCellResult{
 		AvgLatencyClks: st.AvgPacketLatencyClks,
 		P99LatencyClks: st.P99PacketLatencyClks,
 		Cycles:         st.Cycles,
 		Packets:        st.PacketsEjected,
 	}
-	if runErr != nil {
-		if !errors.Is(runErr, noc.ErrSaturated) {
-			return fail(runErr)
+	if err != nil {
+		if !errors.Is(err, noc.ErrSaturated) {
+			return fail(err)
 		}
 		// Failure to drain is the saturation signal, exactly as in
 		// EnergySweep: the cell answers "saturated", it does not fail.
@@ -207,10 +186,7 @@ func evalOneCell(c EvalCell, env *evalEnv, sc EnergySweepConfig, sims *noc.SimPo
 		return res
 	}
 	if c.Energy {
-		if res.Run, err = env.model.Price(st); err != nil {
-			return fail(err)
-		}
-		if res.CLEAR, err = env.model.SimulatedCLEAR(st, c.Rate); err != nil {
+		if res.Run, res.CLEAR, err = env.price(st, c.Rate); err != nil {
 			return fail(err)
 		}
 	}

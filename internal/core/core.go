@@ -1,13 +1,22 @@
 // Package core is the front door of the HyPPI NoC reproduction: it wires
 // the substrate packages (topology, routing, traffic, dsent, noc, npb,
-// optical) into the paper's experiments and exposes one call per
-// table/figure family:
+// optical, energy, fault, taskgraph, telemetry) into the paper's
+// experiments and their extensions, one call per family:
 //
-//	LinkSweep          — Fig. 3  (link-level CLEAR vs length)
-//	Explore            — Fig. 5, Tables III & IV (hybrid design space)
-//	RunTraceExperiment — Fig. 6, Table V (cycle-accurate NPB traces)
-//	AllOpticalRadar    — Fig. 8, Table VI (fully optical projections)
+//	LinkSweep           — Fig. 3  (link-level CLEAR vs length)
+//	Explore             — Fig. 5, Tables III & IV (hybrid design space)
+//	ExploreKinds        — the same analytic evaluation across topology kinds
+//	RunTraceExperiment  — Fig. 6, Table V (cycle-accurate NPB traces)
+//	AllOpticalRadar     — Fig. 8, Table VI (fully optical projections)
+//	PatternSweep        — synthetic-pattern load-latency curves and knees
+//	EnergySweep         — measured latency–energy ladders, Pareto fronts
+//	FaultSweep          — availability and CLEAR degradation under faults
+//	TaskGraphSweep      — closed-loop operator-graph makespans
+//	TelemetrySweep      — sampled packet traces and windowed probes
+//	EvalCells           — heterogeneous serving batches
 //
+// The cycle-accurate families share one engine (sweep.go): a fabric
+// resolver and a single simulate step over a batch-wide simulator pool.
 // Every experiment is deterministic given its configuration.
 package core
 
@@ -25,7 +34,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/tech"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/units"
 )
@@ -46,6 +54,21 @@ func (p DesignPoint) String() string {
 		return fmt.Sprintf("%v mesh", p.Base)
 	}
 	return fmt.Sprintf("%v mesh + %v express@%d", p.Base, p.Express, p.Hops)
+}
+
+// Label renders the design point for tables on a topology kind. String
+// names the mesh; when the kind already names another fabric, the label
+// reduces to the technology axis.
+func (p DesignPoint) Label(kind topology.Kind) string {
+	if kind == "" || kind == topology.Mesh {
+		return p.String()
+	}
+	if p.Hops == 0 {
+		return p.Base.String()
+	}
+	// cmesh can carry express links; keep the axis without the "mesh"
+	// word String would add.
+	return fmt.Sprintf("%v + %v express@%d", p.Base, p.Express, p.Hops)
 }
 
 // DefaultDesignSpace enumerates the paper's Fig. 5 grid: base mesh in
@@ -128,23 +151,31 @@ func Explore(points []DesignPoint, o Options) ([]ExplorationResult, error) {
 // failure cancels the remaining points, and cfg.Progress observes
 // completions. Results are returned in point order whatever the pool size.
 func ExploreContext(ctx context.Context, points []DesignPoint, o Options, cfg runner.Config) ([]ExplorationResult, error) {
-	params := analytic.Params{DSENT: o.DSENT, RouterPipelineClks: o.RouterPipelineClks}
 	return runner.Map(ctx, len(points), cfg, func(_ context.Context, i int) (ExplorationResult, error) {
-		p := points[i]
-		net, tab, err := o.NetworkAndTable(p)
+		_, _, res, err := o.evaluate(points[i])
 		if err != nil {
-			return ExplorationResult{}, fmt.Errorf("core: %v: %w", p, err)
+			return ExplorationResult{}, fmt.Errorf("core: %v: %w", points[i], err)
 		}
-		tm, err := o.cache().Soteriou(net, o.Traffic)
-		if err != nil {
-			return ExplorationResult{}, fmt.Errorf("core: %v: %w", p, err)
-		}
-		res, err := analytic.Evaluate(net, tab, tm, params)
-		if err != nil {
-			return ExplorationResult{}, fmt.Errorf("core: %v: %w", p, err)
-		}
-		return ExplorationResult{Point: p, Result: res}, nil
+		return ExplorationResult{Point: points[i], Result: res}, nil
 	})
+}
+
+// evaluate is the Section III-B analytic job body shared by Explore,
+// ExploreKinds and AllOpticalRadar: resolve the design point's fabric and
+// the (cached) Soteriou traffic on it, then evaluate the pair.
+func (o Options) evaluate(p DesignPoint) (fabric, *traffic.Matrix, analytic.Result, error) {
+	f, err := o.resolve(p, false)
+	if err != nil {
+		return fabric{}, nil, analytic.Result{}, err
+	}
+	tm, err := o.cache().Soteriou(f.net, o.Traffic)
+	if err != nil {
+		return fabric{}, nil, analytic.Result{}, err
+	}
+	res, err := analytic.Evaluate(f.net, f.tab, tm, analytic.Params{
+		DSENT: o.DSENT, RouterPipelineClks: o.RouterPipelineClks,
+	})
+	return f, tm, res, err
 }
 
 // WithKind returns a copy of the Options targeting the given topology
@@ -177,25 +208,15 @@ func ExploreKinds(ctx context.Context, kinds []topology.Kind, points []DesignPoi
 	if len(kinds) == 0 || len(points) == 0 {
 		return nil, fmt.Errorf("core: kind exploration needs kinds and points")
 	}
-	params := analytic.Params{DSENT: o.DSENT, RouterPipelineClks: o.RouterPipelineClks}
 	return runner.Map(ctx, len(kinds)*len(points), cfg, func(_ context.Context, i int) (KindExploration, error) {
 		kind, p := kinds[i/len(points)], points[i%len(points)]
-		ko := o.WithKind(kind)
-		net, tab, err := ko.NetworkAndTable(p)
-		if err != nil {
-			return KindExploration{}, fmt.Errorf("core: %v %v: %w", kind, p, err)
-		}
-		tm, err := ko.cache().Soteriou(net, ko.Traffic)
-		if err != nil {
-			return KindExploration{}, fmt.Errorf("core: %v %v: %w", kind, p, err)
-		}
-		res, err := analytic.Evaluate(net, tab, tm, params)
+		f, _, res, err := o.WithKind(kind).evaluate(p)
 		if err != nil {
 			return KindExploration{}, fmt.Errorf("core: %v %v: %w", kind, p, err)
 		}
 		return KindExploration{
 			Kind: kind, Point: p, Result: res,
-			NumNodes: net.NumNodes(), Channels: len(net.Links), MaxPorts: net.MaxPorts(),
+			NumNodes: f.net.NumNodes(), Channels: len(f.net.Links), MaxPorts: f.net.MaxPorts(),
 		}, nil
 	})
 }
@@ -232,31 +253,19 @@ func RunTraceExperiment(kernel npb.Config, point DesignPoint, o Options, nocCfg 
 // table always come from the process-wide network cache.
 func runTraceExperiment(kernel npb.Config, point DesignPoint, o Options, nocCfg noc.Config,
 	sims *noc.SimPool) (TraceResult, error) {
-	events, err := npb.Generate(kernel)
+	f, err := o.resolve(point, false)
 	if err != nil {
 		return TraceResult{}, err
 	}
-	net, tab, err := o.NetworkAndTable(point)
+	packets, err := tracePackets(kernel, f.net.NumNodes())
 	if err != nil {
 		return TraceResult{}, err
 	}
-	packets, err := trace.Packetize(events, net.NumNodes(), trace.DefaultPacketize())
+	stats, err := simulate(sims, f.net, f.tab, nocCfg, workload{pkts: packets})
 	if err != nil {
 		return TraceResult{}, err
 	}
-	sim, err := sims.Get(net, tab, nocCfg)
-	if err != nil {
-		return TraceResult{}, err
-	}
-	if err := sim.InjectAll(packets); err != nil {
-		return TraceResult{}, err
-	}
-	stats, err := sim.Run()
-	sims.Put(sim)
-	if err != nil {
-		return TraceResult{}, err
-	}
-	dynamic, static, err := PriceRun(net, stats, o.DSENT)
+	dynamic, static, err := PriceRun(f.net, stats, o.DSENT)
 	if err != nil {
 		return TraceResult{}, err
 	}
@@ -337,20 +346,11 @@ func PriceRun(net *topology.Network, stats noc.Stats, cfg dsent.Config) (dynamic
 func AllOpticalRadar(o Options) (optical.Radar, error) {
 	var radar optical.Radar
 	plain := DesignPoint{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}
-	net, tab, err := o.NetworkAndTable(plain)
+	f, tm, res, err := o.evaluate(plain)
 	if err != nil {
 		return radar, err
 	}
-	tm, err := o.cache().Soteriou(net, o.Traffic)
-	if err != nil {
-		return radar, err
-	}
-	res, err := analytic.Evaluate(net, tab, tm, analytic.Params{
-		DSENT: o.DSENT, RouterPipelineClks: o.RouterPipelineClks,
-	})
-	if err != nil {
-		return radar, err
-	}
+	net, tab := f.net, f.tab
 	delivered := tm.MeanRowSum() * float64(net.NumNodes()) *
 		float64(o.DSENT.FlitBits) * o.DSENT.ClockHz
 	radar.Electronic = optical.ElectronicReference(res.PowerW, res.AvgLatencyClks, res.AreaM2, delivered)

@@ -7,15 +7,17 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/noc"
-	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
-// EnergySweepConfig parameterizes a latency–energy sweep.
+// EnergySweepConfig parameterizes the open-loop load-ladder sweeps
+// (PatternSweep, EnergySweep) and the serving batches (EvalCells).
 type EnergySweepConfig struct {
-	// Rates is the ascending offered-load grid in flits/cycle.
+	// Rates is the ascending offered-load grid in flits/cycle; the
+	// latency-knee detector (noc.DetectSaturation) reads the first rate
+	// as the zero-load baseline.
 	Rates []float64
 	// Workload shapes the open-loop arrivals at each point.
 	Workload noc.BernoulliWorkload
@@ -23,16 +25,33 @@ type EnergySweepConfig struct {
 	NoC noc.Config
 }
 
-// DefaultEnergySweep mirrors DefaultPatternSweep: a rate ladder from well
-// below to well beyond mesh saturation on the 8×8 cycle-accurate scale.
+// DefaultEnergySweep returns a ladder that resolves each pattern's knee
+// in seconds on an 8×8 grid (the CLIs scale Options.Topology down to 8×8
+// for cycle-accurate sweeps): rates from well below to well beyond mesh
+// saturation, 1-flit packets over a 5000-cycle horizon.
 func DefaultEnergySweep() EnergySweepConfig {
-	ps := DefaultPatternSweep()
-	return EnergySweepConfig{Rates: ps.Rates, Workload: ps.Workload, NoC: ps.NoC}
+	cfg := noc.DefaultConfig()
+	cfg.MaxCycles = 200000
+	return EnergySweepConfig{
+		Rates:    []float64{0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5},
+		Workload: noc.BernoulliWorkload{SizeFlits: 1, Cycles: 5000, Seed: 13},
+		NoC:      cfg,
+	}
 }
 
 // Validate checks the sweep parameters.
 func (c EnergySweepConfig) Validate() error {
-	return PatternSweepConfig{Rates: c.Rates, Workload: c.Workload, NoC: c.NoC}.Validate()
+	if len(c.Rates) == 0 {
+		return fmt.Errorf("core: sweep with no rates")
+	}
+	prev := 0.0
+	for _, r := range c.Rates {
+		if r <= prev {
+			return fmt.Errorf("core: sweep rates must ascend from above zero, got %v", c.Rates)
+		}
+		prev = r
+	}
+	return nil
 }
 
 // EnergyPoint is one (offered rate) sample of a latency–energy curve.
@@ -67,12 +86,6 @@ type EnergySweepResult struct {
 	Points []EnergyPoint
 }
 
-// PointLabel renders the design point for tables (see
-// PatternSweepResult.PointLabel).
-func (r EnergySweepResult) PointLabel() string {
-	return PatternSweepResult{Kind: r.Kind, Point: r.Point}.PointLabel()
-}
-
 // EnergySweep runs the design-point × topology-kind × pattern × load
 // matrix with the cycle-accurate simulator and the measured energy
 // accounting: every (kind, point, pattern) cell walks the rate ladder
@@ -95,63 +108,32 @@ func EnergySweep(ctx context.Context, kinds []topology.Kind, points []DesignPoin
 	if len(kinds) == 0 || len(points) == 0 || len(patterns) == 0 {
 		return nil, fmt.Errorf("core: energy sweep needs kinds, points and patterns")
 	}
-	// Networks, tables and energy models depend only on (kind, point):
-	// resolve them once up front and share them read-only across the pool.
-	type cellEnv struct {
-		kind  topology.Kind
-		point DesignPoint
-		net   *topology.Network
-		tab   *routing.Table
-		model *energy.Model
+	fabs, err := resolveFabrics(kinds, points, o, true)
+	if err != nil {
+		return nil, err
 	}
-	envs := make([]cellEnv, 0, len(kinds)*len(points))
-	for _, kind := range kinds {
-		ko := o.WithKind(kind)
-		for _, point := range points {
-			net, tab, err := ko.NetworkAndTable(point)
-			if err != nil {
-				return nil, fmt.Errorf("core: %v %v: %w", kind, point, err)
+	results, err := sweepPatterns(ctx, fabs, patterns, pool,
+		func(ctx context.Context, _ int, f fabric, pat traffic.Pattern, base *traffic.Matrix, sims *noc.SimPool) (EnergySweepResult, error) {
+			res := EnergySweepResult{
+				Kind:    f.kind,
+				Point:   f.point,
+				Pattern: pat.Name(),
+				StaticW: f.model.StaticW(),
+				AreaM2:  f.model.AreaM2(),
+				Points:  make([]EnergyPoint, 0, len(sc.Rates)),
 			}
-			model, err := energy.NewModel(net, o.DSENT)
-			if err != nil {
-				return nil, fmt.Errorf("core: %v %v: %w", kind, point, err)
+			for _, rate := range sc.Rates {
+				if err := ctx.Err(); err != nil {
+					return EnergySweepResult{}, err
+				}
+				ep, err := energyPoint(f, base, rate, sc, sims)
+				if err != nil {
+					return EnergySweepResult{}, fmt.Errorf("rate %v: %w", rate, err)
+				}
+				res.Points = append(res.Points, ep)
 			}
-			envs = append(envs, cellEnv{kind: net.Config.Kind, point: point, net: net, tab: tab, model: model})
-		}
-	}
-	sims := noc.NewSimPool()
-	n := len(envs) * len(patterns)
-	results, err := runner.Map(ctx, n, pool, func(ctx context.Context, i int) (EnergySweepResult, error) {
-		env, pat := envs[i/len(patterns)], patterns[i%len(patterns)]
-		point := env.point
-		base, err := pat.Generate(env.net, 1)
-		if err != nil {
-			return EnergySweepResult{}, fmt.Errorf("core: %v %v / %s: %w", env.kind, point, pat.Name(), err)
-		}
-		if err := base.Validate(); err != nil {
-			return EnergySweepResult{}, fmt.Errorf("core: %v %v / %s: %w", env.kind, point, pat.Name(), err)
-		}
-		res := EnergySweepResult{
-			Kind:    env.kind,
-			Point:   point,
-			Pattern: pat.Name(),
-			StaticW: env.model.StaticW(),
-			AreaM2:  env.model.AreaM2(),
-			Points:  make([]EnergyPoint, 0, len(sc.Rates)),
-		}
-		for _, rate := range sc.Rates {
-			if err := ctx.Err(); err != nil {
-				return EnergySweepResult{}, err
-			}
-			ep, err := energyPoint(env.net, env.tab, env.model, base, rate, sc, sims)
-			if err != nil {
-				return EnergySweepResult{}, fmt.Errorf("core: %v %v / %s @ %v: %w",
-					env.kind, point, pat.Name(), rate, err)
-			}
-			res.Points = append(res.Points, ep)
-		}
-		return res, nil
-	})
+			return res, nil
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -161,22 +143,12 @@ func EnergySweep(ctx context.Context, kinds []topology.Kind, points []DesignPoin
 
 // energyPoint runs one offered-load sample and prices it. A run that fails
 // to drain is flagged Saturated rather than failing the sweep.
-func energyPoint(net *topology.Network, tab *routing.Table, model *energy.Model,
-	base *traffic.Matrix, rate float64, sc EnergySweepConfig, sims *noc.SimPool) (EnergyPoint, error) {
-	tm := base.ScaledToMaxRate(rate)
-	pkts, err := sc.Workload.Generate(net, tm)
+func energyPoint(f fabric, base *traffic.Matrix, rate float64, sc EnergySweepConfig, sims *noc.SimPool) (EnergyPoint, error) {
+	pkts, err := sc.Workload.Generate(f.net, base.ScaledToMaxRate(rate))
 	if err != nil {
 		return EnergyPoint{}, err
 	}
-	sim, err := sims.Get(net, tab, sc.NoC)
-	if err != nil {
-		return EnergyPoint{}, err
-	}
-	if err := sim.InjectAll(pkts); err != nil {
-		return EnergyPoint{}, err
-	}
-	st, err := sim.Run()
-	sims.Put(sim)
+	st, err := simulate(sims, f.net, f.tab, sc.NoC, workload{pkts: pkts})
 	ep := EnergyPoint{Rate: rate}
 	if err != nil {
 		if !errors.Is(err, noc.ErrSaturated) {
@@ -187,10 +159,7 @@ func energyPoint(net *topology.Network, tab *routing.Table, model *energy.Model,
 	}
 	ep.AvgLatencyClks = st.AvgPacketLatencyClks
 	ep.P99LatencyClks = st.P99PacketLatencyClks
-	if ep.Run, err = model.Price(st); err != nil {
-		return EnergyPoint{}, err
-	}
-	if ep.CLEAR, err = model.SimulatedCLEAR(st, rate); err != nil {
+	if ep.Run, ep.CLEAR, err = f.price(st, rate); err != nil {
 		return EnergyPoint{}, err
 	}
 	return ep, nil

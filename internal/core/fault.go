@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/dsent"
-	"repro/internal/energy"
 	"repro/internal/fault"
 	"repro/internal/noc"
 	"repro/internal/routing"
@@ -140,9 +139,10 @@ type FaultSweepResult struct {
 	Points []FaultPoint
 }
 
-// PointLabel renders the design point for tables.
+// PointLabel renders the design point for tables (DesignPoint.Label)
+// tagged with the device variant.
 func (r FaultSweepResult) PointLabel() string {
-	label := PatternSweepResult{Kind: r.Kind, Point: r.Point}.PointLabel()
+	label := r.Point.Label(r.Kind)
 	if r.Variant != "" {
 		label += " [" + r.Variant + "]"
 	}
@@ -176,90 +176,67 @@ func FaultSweep(ctx context.Context, kinds []topology.Kind, points []DesignPoint
 	if len(kinds) == 0 || len(points) == 0 || len(variants) == 0 || len(patterns) == 0 {
 		return nil, fmt.Errorf("core: fault sweep needs kinds, points, variants and patterns")
 	}
-	type cellEnv struct {
-		kind    topology.Kind
-		point   DesignPoint
-		variant string
-		net     *topology.Network
-		tab     *routing.Table
-		model   *energy.Model
-		thermal fault.ThermalConfig
+	fabs, err := resolveFabrics(kinds, points, o, false)
+	if err != nil {
+		return nil, err
 	}
-	envs := make([]cellEnv, 0, len(kinds)*len(points)*len(variants))
-	for _, kind := range kinds {
-		ko := o.WithKind(kind)
-		for _, point := range points {
-			net, tab, err := ko.NetworkAndTable(point)
+	// The variant axis prices each fabric under the device's DSENT
+	// variant and seeds its thermal drift at the variant's error floor;
+	// thermal[c] belongs to cells[c].
+	cells := make([]fabric, 0, len(fabs)*len(variants))
+	thermal := make([]fault.ThermalConfig, 0, cap(cells))
+	for _, f := range fabs {
+		for _, variant := range variants {
+			dv, err := dsent.LookupVariant(variant)
 			if err != nil {
-				return nil, fmt.Errorf("core: %v %v: %w", kind, point, err)
+				return nil, fmt.Errorf("core: %v: %w", f, err)
 			}
-			for _, variant := range variants {
-				dv, err := dsent.LookupVariant(variant)
-				if err != nil {
-					return nil, fmt.Errorf("core: %v %v: %w", kind, point, err)
-				}
-				cfg := o.DSENT
-				cfg.Variant = variant
-				model, err := energy.NewModel(net, cfg)
-				if err != nil {
-					return nil, fmt.Errorf("core: %v %v [%s]: %w", kind, point, variant, err)
-				}
-				tc := sc.Thermal
-				tc.BaseFlitErrorProb = dv.FlitErrorProb
-				envs = append(envs, cellEnv{
-					kind: net.Config.Kind, point: point, variant: variant,
-					net: net, tab: tab, model: model, thermal: tc,
-				})
+			cfg := o.DSENT
+			cfg.Variant = variant
+			f.variant = variant
+			vf, err := f.priced(cfg)
+			if err != nil {
+				return nil, fmt.Errorf("core: %v: %w", vf, err)
 			}
+			tc := sc.Thermal
+			tc.BaseFlitErrorProb = dv.FlitErrorProb
+			cells = append(cells, vf)
+			thermal = append(thermal, tc)
 		}
 	}
-	sims := noc.NewSimPool()
-	n := len(envs) * len(patterns)
-	return runner.Map(ctx, n, pool, func(ctx context.Context, i int) (FaultSweepResult, error) {
-		env, pat := envs[i/len(patterns)], patterns[i%len(patterns)]
-		fail := func(err error) (FaultSweepResult, error) {
-			return FaultSweepResult{}, fmt.Errorf("core: %v %v [%s] / %s: %w",
-				env.kind, env.point, env.variant, pat.Name(), err)
-		}
-		base, err := pat.Generate(env.net, 1)
-		if err != nil {
-			return fail(err)
-		}
-		if err := base.Validate(); err != nil {
-			return fail(err)
-		}
-		tm := base.ScaledToMaxRate(sc.Load)
-		res := FaultSweepResult{
-			Kind: env.kind, Point: env.point, Variant: env.variant, Pattern: pat.Name(),
-			Points: make([]FaultPoint, 0, len(sc.Rates)),
-		}
-		cellSeed := runner.Seed(sc.Seed, i)
-		for ri, rate := range sc.Rates {
-			if err := ctx.Err(); err != nil {
-				return FaultSweepResult{}, err
+	return sweepPatterns(ctx, cells, patterns, pool,
+		func(ctx context.Context, i int, f fabric, pat traffic.Pattern, base *traffic.Matrix, sims *noc.SimPool) (FaultSweepResult, error) {
+			tm := base.ScaledToMaxRate(sc.Load)
+			res := FaultSweepResult{
+				Kind: f.kind, Point: f.point, Variant: f.variant, Pattern: pat.Name(),
+				Points: make([]FaultPoint, 0, len(sc.Rates)),
 			}
-			fp, err := faultPoint(env.net, env.tab, env.model, tm, rate,
-				runner.Seed(cellSeed, ri), env.thermal, sc, o.Policy, sims)
-			if err != nil {
-				return fail(fmt.Errorf("fault rate %v: %w", rate, err))
+			cellSeed := runner.Seed(sc.Seed, i)
+			for ri, rate := range sc.Rates {
+				if err := ctx.Err(); err != nil {
+					return FaultSweepResult{}, err
+				}
+				fp, err := faultPoint(f, tm, rate, runner.Seed(cellSeed, ri), thermal[i/len(patterns)], sc, o.Policy, sims)
+				if err != nil {
+					return FaultSweepResult{}, fmt.Errorf("fault rate %v: %w", rate, err)
+				}
+				res.Points = append(res.Points, fp)
 			}
-			res.Points = append(res.Points, fp)
-		}
-		// Degradation is relative to the healthy ladder floor (rate 0,
-		// enforced by Validate).
-		if ref := res.Points[0].CLEAR; ref > 0 {
-			for pi := range res.Points {
-				res.Points[pi].CLEARDegradation = res.Points[pi].CLEAR / ref
+			// Degradation is relative to the healthy ladder floor (rate 0,
+			// enforced by Validate).
+			if ref := res.Points[0].CLEAR; ref > 0 {
+				for pi := range res.Points {
+					res.Points[pi].CLEARDegradation = res.Points[pi].CLEAR / ref
+				}
 			}
-		}
-		return res, nil
-	})
+			return res, nil
+		})
 }
 
 // faultPoint walks one fault rate's epochs for one cell.
-func faultPoint(net *topology.Network, tab *routing.Table, model *energy.Model,
-	tm *traffic.Matrix, rate float64, rateSeed int64, tc fault.ThermalConfig,
+func faultPoint(f fabric, tm *traffic.Matrix, rate float64, rateSeed int64, tc fault.ThermalConfig,
 	sc FaultSweepConfig, policy routing.Policy, sims *noc.SimPool) (FaultPoint, error) {
+	net, model := f.net, f.model
 	sched, err := fault.NewSchedule(net, fault.Config{
 		Rate:              rate,
 		TransientFraction: sc.TransientFraction,
@@ -269,7 +246,7 @@ func faultPoint(net *topology.Network, tab *routing.Table, model *energy.Model,
 	if err != nil {
 		return FaultPoint{}, err
 	}
-	rr := fault.NewRerouter(net, tab, policy)
+	rr := fault.NewRerouter(net, f.tab, policy)
 	th, err := fault.NewThermal(net, tc)
 	if err != nil {
 		return FaultPoint{}, err
@@ -338,24 +315,12 @@ func faultPoint(net *topology.Network, tab *routing.Table, model *energy.Model,
 		overheadW := th.TrimmingOverheadW()
 		fp.TrimOverheadW += overheadW
 
-		sim, err := sims.Get(view.Net, view.Tab, sc.NoC)
-		if err != nil {
-			return FaultPoint{}, err
-		}
-		if err := sim.SetFaultProfile(&noc.FaultProfile{
-			LinkFlitErrorProb: probs,
-			Seed:              runner.Seed(rateSeed, 2*e+1),
-			RetryLimit:        sc.RetryLimit,
-		}); err != nil {
-			sims.Put(sim)
-			return FaultPoint{}, err
-		}
-		if err := sim.InjectAll(pkts); err != nil {
-			sims.Put(sim)
-			return FaultPoint{}, err
-		}
-		st, runErr := sim.Run()
-		sims.Put(sim)
+		st, runErr := simulate(sims, view.Net, view.Tab, sc.NoC, workload{pkts: pkts,
+			faults: noc.FaultProfile{
+				LinkFlitErrorProb: probs,
+				Seed:              runner.Seed(rateSeed, 2*e+1),
+				RetryLimit:        sc.RetryLimit,
+			}})
 		if runErr != nil {
 			if !errors.Is(runErr, noc.ErrSaturated) {
 				return FaultPoint{}, runErr

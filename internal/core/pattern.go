@@ -5,52 +5,10 @@ import (
 	"fmt"
 
 	"repro/internal/noc"
-	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
-
-// PatternSweepConfig parameterizes a pattern saturation sweep.
-type PatternSweepConfig struct {
-	// Rates is the ascending offered-load grid in flits/cycle; the
-	// latency-knee detector (noc.DetectSaturation) reads the first rate
-	// as the zero-load baseline.
-	Rates []float64
-	// Workload shapes the open-loop arrivals at each point.
-	Workload noc.BernoulliWorkload
-	// NoC configures the cycle-accurate simulator.
-	NoC noc.Config
-}
-
-// DefaultPatternSweep returns a sweep that resolves each pattern's knee
-// in seconds on an 8×8 grid (the CLIs scale Options.Topology down to
-// 8×8 for cycle-accurate sweeps): a rate ladder from well below to well
-// beyond mesh saturation, 1-flit packets over a 5000-cycle horizon.
-func DefaultPatternSweep() PatternSweepConfig {
-	cfg := noc.DefaultConfig()
-	cfg.MaxCycles = 200000
-	return PatternSweepConfig{
-		Rates:    []float64{0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5},
-		Workload: noc.BernoulliWorkload{SizeFlits: 1, Cycles: 5000, Seed: 13},
-		NoC:      cfg,
-	}
-}
-
-// Validate checks the sweep parameters.
-func (c PatternSweepConfig) Validate() error {
-	if len(c.Rates) == 0 {
-		return fmt.Errorf("core: pattern sweep with no rates")
-	}
-	prev := 0.0
-	for _, r := range c.Rates {
-		if r <= prev {
-			return fmt.Errorf("core: sweep rates must ascend from above zero, got %v", c.Rates)
-		}
-		prev = r
-	}
-	return nil
-}
 
 // PatternSweepResult is one (topology kind, design point, pattern) cell of
 // a sweep: the full load-latency curve plus the detected saturation
@@ -76,21 +34,6 @@ type PatternSweepResult struct {
 	AtFloor bool
 }
 
-// PointLabel renders the design point for tables. DesignPoint.String
-// names the mesh; when the row's Kind already names the fabric, the
-// label reduces to the technology axis.
-func (r PatternSweepResult) PointLabel() string {
-	if r.Kind == "" || r.Kind == topology.Mesh {
-		return r.Point.String()
-	}
-	if r.Point.Hops == 0 {
-		return r.Point.Base.String()
-	}
-	// cmesh can carry express links; keep the axis without the "mesh"
-	// word DesignPoint.String would add.
-	return fmt.Sprintf("%v + %v express@%d", r.Point.Base, r.Point.Express, r.Point.Hops)
-}
-
 // ZeroLoadLatencyClks returns the curve's first (lowest-rate) average
 // latency — the knee detector's baseline.
 func (r PatternSweepResult) ZeroLoadLatencyClks() float64 {
@@ -100,108 +43,37 @@ func (r PatternSweepResult) ZeroLoadLatencyClks() float64 {
 	return r.Curve[0].AvgLatencyClks
 }
 
-// PatternSweep runs the design-point × pattern saturation matrix on the
-// worker pool: each (point, pattern) job resolves its network and routing
-// table through the process-wide cache, generates the pattern matrix, and
-// walks the rate ladder serially with the cycle-accurate simulator,
-// recycling simulators through one batch-wide noc.SimPool. Jobs share only
-// read-only inputs and results are collected in (point-major,
-// pattern-minor) order, so the output is bit-identical for any worker
-// count — the same determinism contract as Explore. The first failure
-// cancels the batch.
-func PatternSweep(ctx context.Context, points []DesignPoint, patterns []traffic.Pattern,
-	sc PatternSweepConfig, o Options, pool runner.Config) ([]PatternSweepResult, error) {
+// PatternSweep runs the topology-kind × design-point × pattern saturation
+// matrix: every (kind, point, pattern) cell walks the rate ladder serially
+// with the cycle-accurate simulator (noc.LoadLatencyCurveContext — the
+// pool already fans out across cells) and locates the curve's latency
+// knee with noc.DetectSaturation. Results come back kind-major,
+// point-middle, pattern-minor and are bit-identical for any worker count;
+// the first failure cancels the batch.
+//
+// Non-mesh kinds reject express design points at Build time; pass plain
+// (Hops = 0) points for kind-portable sweeps, exactly as with ExploreKinds.
+func PatternSweep(ctx context.Context, kinds []topology.Kind, points []DesignPoint, patterns []traffic.Pattern,
+	sc EnergySweepConfig, o Options, pool runner.Config) ([]PatternSweepResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	if len(patterns) == 0 {
-		return nil, fmt.Errorf("core: pattern sweep with no patterns")
+	if len(kinds) == 0 || len(points) == 0 || len(patterns) == 0 {
+		return nil, fmt.Errorf("core: pattern sweep needs kinds, points and patterns")
 	}
-	// Networks and routing tables depend only on the design point:
-	// resolve them once up front and share them read-only across the pool.
-	nets := make([]*topology.Network, len(points))
-	tabs := make([]*routing.Table, len(points))
-	for i, point := range points {
-		net, tab, err := o.NetworkAndTable(point)
-		if err != nil {
-			return nil, fmt.Errorf("core: %v: %w", point, err)
-		}
-		nets[i], tabs[i] = net, tab
-	}
-	sims := noc.NewSimPool()
-	n := len(points) * len(patterns)
-	return runner.Map(ctx, n, pool, func(ctx context.Context, i int) (PatternSweepResult, error) {
-		pi, pat := i/len(patterns), patterns[i%len(patterns)]
-		point, net, tab := points[pi], nets[pi], tabs[pi]
-		// The rate ladder runs serially inside the job (Workers: 1): the
-		// pool already fans out across (point, pattern) cells, and nested
-		// pools would oversubscribe without improving determinism.
-		curves, err := noc.PatternLoadLatencyCurves(ctx, net, tab,
-			[]traffic.Pattern{pat}, sc.Rates, sc.Workload, sc.NoC, runner.Config{Workers: 1}, sims)
-		if err != nil {
-			return PatternSweepResult{}, fmt.Errorf("core: %v / %s: %w", point, pat.Name(), err)
-		}
-		c := curves[0]
-		return PatternSweepResult{
-			Kind:           o.Topology.Canonical().Kind,
-			Point:          point,
-			Pattern:        c.Pattern,
-			Curve:          c.Points,
-			SaturationRate: c.SaturationRate,
-			Saturates:      c.Saturates,
-			AtFloor:        c.AtFloor,
-		}, nil
-	})
-}
-
-// TopologyPatternSweep runs the full topology × pattern saturation matrix
-// on the worker pool: every registered (or selected) kind is built at the
-// Options' grid with the plain base technology — the kind-portable design
-// point every family supports — and swept over the pattern's rate ladder
-// with the cycle-accurate simulator, exactly like PatternSweep. Results
-// come back kind-major, pattern-minor and are bit-identical for any worker
-// count; the first failure cancels the batch. Express hybrids stay a
-// mesh-family axis: sweep them per kind through PatternSweep.
-func TopologyPatternSweep(ctx context.Context, kinds []topology.Kind, patterns []traffic.Pattern,
-	sc PatternSweepConfig, o Options, pool runner.Config) ([]PatternSweepResult, error) {
-	if err := sc.Validate(); err != nil {
+	fabs, err := resolveFabrics(kinds, points, o, false)
+	if err != nil {
 		return nil, err
 	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("core: topology sweep with no kinds")
-	}
-	if len(patterns) == 0 {
-		return nil, fmt.Errorf("core: topology sweep with no patterns")
-	}
-	plain := DesignPoint{Base: o.Topology.BaseTech, Express: o.Topology.BaseTech, Hops: 0}
-	nets := make([]*topology.Network, len(kinds))
-	tabs := make([]*routing.Table, len(kinds))
-	for i, kind := range kinds {
-		net, tab, err := o.WithKind(kind).NetworkAndTable(plain)
-		if err != nil {
-			return nil, fmt.Errorf("core: %v: %w", kind, err)
-		}
-		nets[i], tabs[i] = net, tab
-	}
-	sims := noc.NewSimPool()
-	n := len(kinds) * len(patterns)
-	return runner.Map(ctx, n, pool, func(ctx context.Context, i int) (PatternSweepResult, error) {
-		ki, pat := i/len(patterns), patterns[i%len(patterns)]
-		kind, net, tab := kinds[ki], nets[ki], tabs[ki]
-		curves, err := noc.PatternLoadLatencyCurves(ctx, net, tab,
-			[]traffic.Pattern{pat}, sc.Rates, sc.Workload, sc.NoC, runner.Config{Workers: 1}, sims)
-		if err != nil {
-			return PatternSweepResult{}, fmt.Errorf("core: %v / %s: %w", kind, pat.Name(), err)
-		}
-		c := curves[0]
-		return PatternSweepResult{
-			Kind:           net.Config.Kind, // canonical (Build resolved it)
-			Point:          plain,
-			Pattern:        c.Pattern,
-			Curve:          c.Points,
-			SaturationRate: c.SaturationRate,
-			Saturates:      c.Saturates,
-			AtFloor:        c.AtFloor,
-		}, nil
-	})
+	return sweepPatterns(ctx, fabs, patterns, pool,
+		func(ctx context.Context, _ int, f fabric, pat traffic.Pattern, base *traffic.Matrix, sims *noc.SimPool) (PatternSweepResult, error) {
+			curve, err := noc.LoadLatencyCurveContext(ctx, f.net, f.tab, base, sc.Rates, sc.Workload, sc.NoC,
+				runner.Config{Workers: 1}, sims)
+			if err != nil {
+				return PatternSweepResult{}, err
+			}
+			r := PatternSweepResult{Kind: f.kind, Point: f.point, Pattern: pat.Name(), Curve: curve}
+			r.SaturationRate, r.AtFloor, r.Saturates = noc.DetectSaturation(curve)
+			return r, nil
+		})
 }

@@ -8,13 +8,17 @@ import (
 	"repro/internal/noc"
 	"repro/internal/runner"
 	"repro/internal/tech"
+	"repro/internal/topology"
 	"repro/internal/traffic"
 )
+
+// meshOnly is the kind axis of the mesh design-point sweeps.
+var meshOnly = []topology.Kind{topology.Mesh}
 
 // sweepFixture is a deliberately tiny sweep (4×4 grid, three patterns,
 // three rates, short horizon) so the determinism test can run under
 // -race in short mode.
-func sweepFixture(t *testing.T) ([]DesignPoint, []traffic.Pattern, PatternSweepConfig, Options) {
+func sweepFixture(t *testing.T) ([]DesignPoint, []traffic.Pattern, EnergySweepConfig, Options) {
 	t.Helper()
 	pats, err := traffic.ParsePatterns("uniform,tornado,bitcomp")
 	if err != nil {
@@ -24,7 +28,7 @@ func sweepFixture(t *testing.T) ([]DesignPoint, []traffic.Pattern, PatternSweepC
 		{Base: tech.Electronic, Express: tech.Electronic, Hops: 0},
 		{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3},
 	}
-	sc := PatternSweepConfig{
+	sc := EnergySweepConfig{
 		Rates:    []float64{0.05, 0.2, 0.5},
 		Workload: noc.BernoulliWorkload{SizeFlits: 1, Cycles: 400, Seed: 5},
 		NoC:      noc.DefaultConfig(),
@@ -37,7 +41,7 @@ func sweepFixture(t *testing.T) ([]DesignPoint, []traffic.Pattern, PatternSweepC
 
 func TestPatternSweepShape(t *testing.T) {
 	points, pats, sc, o := sweepFixture(t)
-	results, err := PatternSweep(context.Background(), points, pats, sc, o, runner.Config{})
+	results, err := PatternSweep(context.Background(), meshOnly, points, pats, sc, o, runner.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +56,11 @@ func TestPatternSweepShape(t *testing.T) {
 		}
 		if len(r.Curve) != len(sc.Rates) {
 			t.Fatalf("result %d has %d curve points, want %d", i, len(r.Curve), len(sc.Rates))
+		}
+		for j, p := range r.Curve {
+			if p.InjectionRate != sc.Rates[j] {
+				t.Errorf("result %d point %d at rate %v, want %v", i, j, p.InjectionRate, sc.Rates[j])
+			}
 		}
 		rate, atFloor, ok := noc.DetectSaturation(r.Curve)
 		if rate != r.SaturationRate || atFloor != r.AtFloor || ok != r.Saturates {
@@ -70,12 +79,12 @@ func TestPatternSweepShape(t *testing.T) {
 // race).
 func TestPatternSweepSerialParallelIdentical(t *testing.T) {
 	points, pats, sc, o := sweepFixture(t)
-	serial, err := PatternSweep(context.Background(), points, pats, sc, o,
+	serial, err := PatternSweep(context.Background(), meshOnly, points, pats, sc, o,
 		runner.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := PatternSweep(context.Background(), points, pats, sc, o,
+	parallel, err := PatternSweep(context.Background(), meshOnly, points, pats, sc, o,
 		runner.Config{Workers: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -88,17 +97,17 @@ func TestPatternSweepSerialParallelIdentical(t *testing.T) {
 func TestPatternSweepValidation(t *testing.T) {
 	points, pats, sc, o := sweepFixture(t)
 	ctx := context.Background()
-	if _, err := PatternSweep(ctx, points, nil, sc, o, runner.Config{}); err == nil {
+	if _, err := PatternSweep(ctx, meshOnly, points, nil, sc, o, runner.Config{}); err == nil {
 		t.Error("empty pattern list must fail")
 	}
 	bad := sc
 	bad.Rates = nil
-	if _, err := PatternSweep(ctx, points, pats, bad, o, runner.Config{}); err == nil {
+	if _, err := PatternSweep(ctx, meshOnly, points, pats, bad, o, runner.Config{}); err == nil {
 		t.Error("empty rate grid must fail")
 	}
 	bad = sc
 	bad.Rates = []float64{0.2, 0.1}
-	if _, err := PatternSweep(ctx, points, pats, bad, o, runner.Config{}); err == nil {
+	if _, err := PatternSweep(ctx, meshOnly, points, pats, bad, o, runner.Config{}); err == nil {
 		t.Error("non-ascending rates must fail")
 	}
 	// A pattern precondition failure is reported with the design point
@@ -108,7 +117,7 @@ func TestPatternSweepValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Topology.Width, o.Topology.Height = 3, 3
-	if _, err := PatternSweep(ctx, points, []traffic.Pattern{bitrev}, sc, o,
+	if _, err := PatternSweep(ctx, meshOnly, points, []traffic.Pattern{bitrev}, sc, o,
 		runner.Config{}); err == nil {
 		t.Error("bitrev on a 9-node grid must fail")
 	}
@@ -129,10 +138,10 @@ func TestPatternSweepExpressHelps(t *testing.T) {
 		{Base: tech.Electronic, Express: tech.Electronic, Hops: 0},
 		{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3},
 	}
-	sc := DefaultPatternSweep()
+	sc := DefaultEnergySweep()
 	o := DefaultOptions()
 	o.Topology.Width, o.Topology.Height = 8, 8
-	results, err := PatternSweep(context.Background(), points, pats, sc, o, runner.Config{})
+	results, err := PatternSweep(context.Background(), meshOnly, points, pats, sc, o, runner.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestScaleSmoke(t *testing.T) {
 	}
 	nocCfg := noc.DefaultConfig()
 	nocCfg.MaxCycles = 200000
-	sc := PatternSweepConfig{
+	sc := EnergySweepConfig{
 		Rates:    []float64{0.002, 0.005, 0.01},
 		Workload: noc.BernoulliWorkload{SizeFlits: 1, Cycles: 2000, Seed: 13},
 		NoC:      nocCfg,
@@ -48,7 +48,7 @@ func TestScaleSmoke(t *testing.T) {
 	points := []DesignPoint{{Base: tech.HyPPI, Express: tech.HyPPI, Hops: 63}}
 
 	start := time.Now()
-	results, err := PatternSweep(t.Context(), points, patterns, sc, o, runner.Config{Workers: 1})
+	results, err := PatternSweep(t.Context(), meshOnly, points, patterns, sc, o, runner.Config{Workers: 1})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

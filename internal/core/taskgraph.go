@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/noc"
-	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
@@ -68,12 +67,6 @@ type TaskGraphResult struct {
 	Cycles int64
 }
 
-// PointLabel renders the design point for tables, kind-aware exactly like
-// PatternSweepResult.PointLabel.
-func (r TaskGraphResult) PointLabel() string {
-	return PatternSweepResult{Kind: r.Kind, Point: r.Point}.PointLabel()
-}
-
 // TaskGraphSweep runs the design-point × graph closed-loop matrix on the
 // worker pool: each (point, graph) job replays the generated message DAG
 // through noc.InjectClosedLoop on a pooled simulator and scores the
@@ -90,78 +83,19 @@ func TaskGraphSweep(ctx context.Context, points []DesignPoint, gens []taskgraph.
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("core: task-graph sweep with no graphs")
 	}
-	nets := make([]*topology.Network, len(points))
-	tabs := make([]*routing.Table, len(points))
-	for i, point := range points {
-		net, tab, err := o.NetworkAndTable(point)
-		if err != nil {
-			return nil, fmt.Errorf("core: %v: %w", point, err)
-		}
-		nets[i], tabs[i] = net, tab
+	fabs, err := resolveFabrics([]topology.Kind{o.Topology.Kind}, points, o, false)
+	if err != nil {
+		return nil, err
 	}
 	graphs, err := generateGraphs(gens, o.Topology.Width*o.Topology.Height, sc.Gen)
 	if err != nil {
 		return nil, err
 	}
-	sims := noc.NewSimPool()
-	n := len(points) * len(graphs)
-	return runner.Map(ctx, n, pool, func(ctx context.Context, i int) (TaskGraphResult, error) {
-		pi, g := i/len(graphs), graphs[i%len(graphs)]
-		point, net, tab := points[pi], nets[pi], tabs[pi]
-		res, err := runTaskGraph(g, net, tab, sc.NoC, sims)
-		if err != nil {
-			return TaskGraphResult{}, fmt.Errorf("core: %v / %s: %w", point, g.Name, err)
-		}
-		res.Kind = o.Topology.Canonical().Kind
-		res.Point = point
-		return res, nil
-	})
-}
-
-// TopologyTaskGraphSweep runs the kind × graph closed-loop matrix: every
-// selected topology family at the Options' grid with the plain base
-// technology, replaying each generated DAG exactly like TaskGraphSweep.
-// Results come back kind-major, graph-minor, bit-identical for any worker
-// count. Express hybrids stay a mesh-family axis: sweep them per kind
-// through TaskGraphSweep.
-func TopologyTaskGraphSweep(ctx context.Context, kinds []topology.Kind, gens []taskgraph.Generator,
-	sc TaskGraphSweepConfig, o Options, pool runner.Config) ([]TaskGraphResult, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("core: task-graph sweep with no kinds")
-	}
-	if len(gens) == 0 {
-		return nil, fmt.Errorf("core: task-graph sweep with no graphs")
-	}
-	plain := DesignPoint{Base: o.Topology.BaseTech, Express: o.Topology.BaseTech, Hops: 0}
-	nets := make([]*topology.Network, len(kinds))
-	tabs := make([]*routing.Table, len(kinds))
-	for i, kind := range kinds {
-		net, tab, err := o.WithKind(kind).NetworkAndTable(plain)
-		if err != nil {
-			return nil, fmt.Errorf("core: %v: %w", kind, err)
-		}
-		nets[i], tabs[i] = net, tab
-	}
-	graphs, err := generateGraphs(gens, o.Topology.Width*o.Topology.Height, sc.Gen)
-	if err != nil {
-		return nil, err
-	}
-	sims := noc.NewSimPool()
-	n := len(kinds) * len(graphs)
-	return runner.Map(ctx, n, pool, func(ctx context.Context, i int) (TaskGraphResult, error) {
-		ki, g := i/len(graphs), graphs[i%len(graphs)]
-		kind, net, tab := kinds[ki], nets[ki], tabs[ki]
-		res, err := runTaskGraph(g, net, tab, sc.NoC, sims)
-		if err != nil {
-			return TaskGraphResult{}, fmt.Errorf("core: %v / %s: %w", kind, g.Name, err)
-		}
-		res.Kind = net.Config.Kind // canonical (Build resolved it)
-		res.Point = plain
-		return res, nil
-	})
+	name := func(j int) string { return graphs[j].Name }
+	return sweepCells(ctx, fabs, len(graphs), name, pool,
+		func(_ context.Context, _ int, f fabric, j int, sims *noc.SimPool) (TaskGraphResult, error) {
+			return runTaskGraph(graphs[j], f, sc.NoC, sims)
+		})
 }
 
 // generateGraphs builds and validates one graph per generator for a node
@@ -183,23 +117,14 @@ func generateGraphs(gens []taskgraph.Generator, numNodes int, cfg taskgraph.GenC
 
 // runTaskGraph replays one DAG through a pooled closed-loop simulation and
 // scores it against the contention-free critical path.
-func runTaskGraph(g *taskgraph.Graph, net *topology.Network, tab *routing.Table,
-	cfg noc.Config, sims *noc.SimPool) (TaskGraphResult, error) {
+func runTaskGraph(g *taskgraph.Graph, f fabric, cfg noc.Config, sims *noc.SimPool) (TaskGraphResult, error) {
 	pkts := make([]noc.Packet, len(g.Messages))
 	deps := make([][]int, len(g.Messages))
 	for i, m := range g.Messages {
 		pkts[i] = noc.Packet{Src: m.Src, Dst: m.Dst, SizeFlits: m.SizeFlits, Release: m.ComputeClks}
 		deps[i] = m.Deps
 	}
-	s, err := sims.Get(net, tab, cfg)
-	if err != nil {
-		return TaskGraphResult{}, err
-	}
-	if err := s.InjectClosedLoop(pkts, deps); err != nil {
-		return TaskGraphResult{}, err
-	}
-	st, err := s.Run()
-	sims.Put(s)
+	st, err := simulate(sims, f.net, f.tab, cfg, workload{pkts: pkts, deps: deps})
 	if err != nil {
 		return TaskGraphResult{}, err
 	}
@@ -207,12 +132,14 @@ func runTaskGraph(g *taskgraph.Graph, net *topology.Network, tab *routing.Table,
 	// (pinned by TestZeroLoadLatencyMatchesAnalytic) over the DAG: an
 	// uncongested serial schedule meets it exactly.
 	lb, err := g.CriticalPathClks(func(m taskgraph.Message) int64 {
-		return int64(tab.LatencyClks(m.Src, m.Dst, cfg.PipelineClks) + m.SizeFlits - 1)
+		return int64(f.tab.LatencyClks(m.Src, m.Dst, cfg.PipelineClks) + m.SizeFlits - 1)
 	})
 	if err != nil {
 		return TaskGraphResult{}, err
 	}
 	res := TaskGraphResult{
+		Kind:           f.kind,
+		Point:          f.point,
 		Graph:          g.Name,
 		Messages:       len(g.Messages),
 		TotalFlits:     g.TotalFlits(),

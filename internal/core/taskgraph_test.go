@@ -84,10 +84,25 @@ func TestTaskGraphSweepSerialParallelIdentical(t *testing.T) {
 	}
 }
 
+// kindTaskGraphSweep walks the kind axis the way hyppi-sim does: one
+// TaskGraphSweep per kind on the plain fabric, kind-major.
+func kindTaskGraphSweep(kinds []topology.Kind, gens []taskgraph.Generator, sc TaskGraphSweepConfig,
+	o Options, pool runner.Config) ([]TaskGraphResult, error) {
+	var out []TaskGraphResult
+	for _, k := range kinds {
+		rs, err := TaskGraphSweep(context.Background(), plainPoint(o), gens, sc, o.WithKind(k), pool)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rs...)
+	}
+	return out, nil
+}
+
 func TestTopologyTaskGraphSweep(t *testing.T) {
 	_, gens, sc, o := taskGraphFixture(t)
 	kinds := []topology.Kind{topology.Mesh, topology.Torus}
-	serial, err := TopologyTaskGraphSweep(context.Background(), kinds, gens, sc, o,
+	serial, err := kindTaskGraphSweep(kinds, gens, sc, o,
 		runner.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +118,7 @@ func TestTopologyTaskGraphSweep(t *testing.T) {
 			t.Errorf("%v/%s: makespan %d below bound %d", r.Kind, r.Graph, r.MakespanClks, r.LowerBoundClks)
 		}
 	}
-	parallel, err := TopologyTaskGraphSweep(context.Background(), kinds, gens, sc, o,
+	parallel, err := kindTaskGraphSweep(kinds, gens, sc, o,
 		runner.Config{Workers: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +201,7 @@ func TestTaskGraphSmoke(t *testing.T) {
 			t.Errorf("%s: makespan %d under bound %d", r.Graph, r.MakespanClks, r.LowerBoundClks)
 		}
 		t.Logf("%s @ %s: makespan %d clks (bound %d, stretch %.2f, %d messages) in %v",
-			r.Graph, r.PointLabel(), r.MakespanClks, r.LowerBoundClks, r.Stretch, r.Messages, elapsed)
+			r.Graph, r.Point.Label(r.Kind), r.MakespanClks, r.LowerBoundClks, r.Stretch, r.Messages, elapsed)
 	}
 }
 
@@ -201,8 +216,5 @@ func TestTaskGraphSweepValidation(t *testing.T) {
 	bad.Gen.SizeFlits = 0
 	if _, err := TaskGraphSweep(ctx, points, gens, bad, o, runner.Config{}); err == nil {
 		t.Error("sweep with invalid GenConfig succeeded")
-	}
-	if _, err := TopologyTaskGraphSweep(ctx, nil, gens, sc, o, runner.Config{}); err == nil {
-		t.Error("topology sweep with no kinds succeeded")
 	}
 }

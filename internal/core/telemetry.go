@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/noc"
-	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -36,7 +35,7 @@ type TelemetrySweepConfig struct {
 // DefaultTelemetrySweep instruments the pattern sweep's mid-load point:
 // 5% packet sampling and a 200-cycle probe window on the 8×8 workload.
 func DefaultTelemetrySweep() TelemetrySweepConfig {
-	ps := DefaultPatternSweep()
+	ps := DefaultEnergySweep()
 	return TelemetrySweepConfig{
 		Rate:     0.1,
 		Workload: ps.Workload,
@@ -79,8 +78,7 @@ type TelemetryResult struct {
 
 // Label names the cell for trace exports and tables.
 func (r TelemetryResult) Label() string {
-	label := PatternSweepResult{Kind: r.Kind, Point: r.Point}.PointLabel()
-	return fmt.Sprintf("%s / %s @ %.3g", label, r.Pattern, r.Rate)
+	return fmt.Sprintf("%s / %s @ %.3g", r.Point.Label(r.Kind), r.Pattern, r.Rate)
 }
 
 // TelemetrySweep runs the design-point × pattern matrix once at the
@@ -102,69 +100,36 @@ func TelemetrySweep(ctx context.Context, points []DesignPoint, patterns []traffi
 	if len(points) == 0 || len(patterns) == 0 {
 		return nil, fmt.Errorf("core: telemetry sweep needs points and patterns")
 	}
-	nets := make([]*topology.Network, len(points))
-	tabs := make([]*routing.Table, len(points))
-	for i, point := range points {
-		net, tab, err := o.NetworkAndTable(point)
-		if err != nil {
-			return nil, fmt.Errorf("core: %v: %w", point, err)
-		}
-		nets[i], tabs[i] = net, tab
+	fabs, err := resolveFabrics([]topology.Kind{o.Topology.Kind}, points, o, false)
+	if err != nil {
+		return nil, err
 	}
-	bases := make([]*traffic.Matrix, len(points)*len(patterns))
-	for pi := range points {
-		for qi, p := range patterns {
-			m, err := p.Generate(nets[pi], 1)
+	return sweepPatterns(ctx, fabs, patterns, pool,
+		func(_ context.Context, i int, f fabric, pat traffic.Pattern, base *traffic.Matrix, sims *noc.SimPool) (TelemetryResult, error) {
+			pkts, err := sc.Workload.Generate(f.net, base.ScaledToMaxRate(sc.Rate))
 			if err != nil {
-				return nil, fmt.Errorf("core: pattern %s: %w", p.Name(), err)
+				return TelemetryResult{}, err
 			}
-			bases[pi*len(patterns)+qi] = m
-		}
-	}
-	sims := noc.NewSimPool()
-	n := len(points) * len(patterns)
-	return runner.Map(ctx, n, pool, func(_ context.Context, i int) (TelemetryResult, error) {
-		pi, qi := i/len(patterns), i%len(patterns)
-		point, net, tab := points[pi], nets[pi], tabs[pi]
-		res := TelemetryResult{
-			Kind:    net.Config.Kind,
-			Point:   point,
-			Pattern: patterns[qi].Name(),
-			Rate:    sc.Rate,
-		}
-		tm := bases[i].ScaledToMaxRate(sc.Rate)
-		pkts, err := sc.Workload.Generate(net, tm)
-		if err != nil {
-			return TelemetryResult{}, fmt.Errorf("core: %s: %w", res.Label(), err)
-		}
-		tcfg := sc.Telemetry
-		tcfg.Seed = runner.Seed(sc.Telemetry.Seed, i)
-		col, err := telemetry.New(tcfg, net)
-		if err != nil {
-			return TelemetryResult{}, fmt.Errorf("core: %s: %w", res.Label(), err)
-		}
-		sim, err := sims.Get(net, tab, sc.NoC)
-		if err != nil {
-			return TelemetryResult{}, err
-		}
-		if err := sim.InjectAll(pkts); err != nil {
-			return TelemetryResult{}, err
-		}
-		sim.SetObserver(col)
-		st, err := sim.Run()
-		sims.Put(sim)
-		if err != nil {
-			if !errors.Is(err, noc.ErrSaturated) {
-				return TelemetryResult{}, fmt.Errorf("core: %s: %w", res.Label(), err)
+			tcfg := sc.Telemetry
+			tcfg.Seed = runner.Seed(sc.Telemetry.Seed, i)
+			col, err := telemetry.New(tcfg, f.net)
+			if err != nil {
+				return TelemetryResult{}, err
 			}
-			res.Saturated = true
-		}
-		col.Finish(st.Cycles)
-		res.Stats = st
-		res.Trace = col.Trace()
-		res.Probes = col.Probes()
-		return res, nil
-	})
+			st, err := simulate(sims, f.net, f.tab, sc.NoC, workload{pkts: pkts, obs: col})
+			res := TelemetryResult{Kind: f.kind, Point: f.point, Pattern: pat.Name(), Rate: sc.Rate}
+			if err != nil {
+				if !errors.Is(err, noc.ErrSaturated) {
+					return TelemetryResult{}, err
+				}
+				res.Saturated = true
+			}
+			col.Finish(st.Cycles)
+			res.Stats = st
+			res.Trace = col.Trace()
+			res.Probes = col.Probes()
+			return res, nil
+		})
 }
 
 // ChromeProcesses adapts telemetry results for telemetry.WriteChromeTrace:

@@ -16,13 +16,13 @@ import (
 // kindSweepFixture is the cross-topology analog of sweepFixture: every
 // registered kind on a 4×4 grid (the smallest the torus floor admits),
 // two patterns, short horizon — fast enough for -race in short mode.
-func kindSweepFixture(t *testing.T) ([]topology.Kind, []traffic.Pattern, PatternSweepConfig, Options) {
+func kindSweepFixture(t *testing.T) ([]topology.Kind, []traffic.Pattern, EnergySweepConfig, Options) {
 	t.Helper()
 	pats, err := traffic.ParsePatterns("uniform,tornado")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := PatternSweepConfig{
+	sc := EnergySweepConfig{
 		Rates:    []float64{0.05, 0.2, 0.5},
 		Workload: noc.BernoulliWorkload{SizeFlits: 1, Cycles: 400, Seed: 5},
 		NoC:      noc.DefaultConfig(),
@@ -33,12 +33,18 @@ func kindSweepFixture(t *testing.T) ([]topology.Kind, []traffic.Pattern, Pattern
 	return topology.Kinds(), pats, sc, o
 }
 
+// plainPoint is the kind-portable design point of a topology sweep: the
+// Options' base technology without express links.
+func plainPoint(o Options) []DesignPoint {
+	return []DesignPoint{{Base: o.Topology.BaseTech, Express: o.Topology.BaseTech, Hops: 0}}
+}
+
 // TestTopologyPatternSweepShape drives every registered kind end-to-end
 // through the cycle-accurate simulator: the full kind × pattern × load
 // matrix must come back in kind-major order with live curves.
 func TestTopologyPatternSweepShape(t *testing.T) {
 	kinds, pats, sc, o := kindSweepFixture(t)
-	results, err := TopologyPatternSweep(context.Background(), kinds, pats, sc, o, runner.Config{})
+	results, err := PatternSweep(context.Background(), kinds, plainPoint(o), pats, sc, o, runner.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +74,12 @@ func TestTopologyPatternSweepShape(t *testing.T) {
 // race.
 func TestTopologyPatternSweepSerialParallelIdentical(t *testing.T) {
 	kinds, pats, sc, o := kindSweepFixture(t)
-	serial, err := TopologyPatternSweep(context.Background(), kinds, pats, sc, o,
+	serial, err := PatternSweep(context.Background(), kinds, plainPoint(o), pats, sc, o,
 		runner.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := TopologyPatternSweep(context.Background(), kinds, pats, sc, o,
+	parallel, err := PatternSweep(context.Background(), kinds, plainPoint(o), pats, sc, o,
 		runner.Config{Workers: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -86,17 +92,17 @@ func TestTopologyPatternSweepSerialParallelIdentical(t *testing.T) {
 func TestTopologyPatternSweepValidation(t *testing.T) {
 	kinds, pats, sc, o := kindSweepFixture(t)
 	ctx := context.Background()
-	if _, err := TopologyPatternSweep(ctx, nil, pats, sc, o, runner.Config{}); err == nil {
+	if _, err := PatternSweep(ctx, nil, plainPoint(o), pats, sc, o, runner.Config{}); err == nil {
 		t.Error("empty kind list must fail")
 	}
-	if _, err := TopologyPatternSweep(ctx, kinds, nil, sc, o, runner.Config{}); err == nil {
+	if _, err := PatternSweep(ctx, kinds, plainPoint(o), nil, sc, o, runner.Config{}); err == nil {
 		t.Error("empty pattern list must fail")
 	}
 	// A kind that rejects the grid is reported by name before any
 	// simulation runs.
 	bad := o
 	bad.Topology.Width, bad.Topology.Height = 4, 2
-	if _, err := TopologyPatternSweep(ctx, []topology.Kind{topology.Torus}, pats, sc, bad,
+	if _, err := PatternSweep(ctx, []topology.Kind{topology.Torus}, plainPoint(bad), pats, sc, bad,
 		runner.Config{}); err == nil || !strings.Contains(err.Error(), "torus") {
 		t.Errorf("torus on 4x2 should fail by name, got %v", err)
 	}

@@ -1,15 +1,6 @@
 package noc
 
-import (
-	"context"
-	"reflect"
-	"testing"
-
-	"repro/internal/routing"
-	"repro/internal/runner"
-	"repro/internal/topology"
-	"repro/internal/traffic"
-)
+import "testing"
 
 func TestDetectSaturation(t *testing.T) {
 	cases := []struct {
@@ -59,95 +50,5 @@ func TestDetectSaturation(t *testing.T) {
 			t.Errorf("%s: DetectSaturation = (%v, %v, %v), want (%v, %v, %v)",
 				c.name, rate, atFloor, ok, c.rate, c.atFloor, c.ok)
 		}
-	}
-}
-
-// patternSweepInputs builds a small sweep that exercises real saturation
-// behaviour in well under a second.
-func patternSweepInputs(t *testing.T) ([]traffic.Pattern, []float64, BernoulliWorkload, Config) {
-	t.Helper()
-	pats, err := traffic.ParsePatterns("uniform,tornado,hotspot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := BernoulliWorkload{SizeFlits: 1, Cycles: 600, Seed: 11}
-	cfg := DefaultConfig()
-	cfg.MaxCycles = 20000
-	return pats, []float64{0.05, 0.2, 0.5}, w, cfg
-}
-
-func TestPatternLoadLatencyCurves(t *testing.T) {
-	net, tab, _ := workloadNet(t)
-	pats, rates, w, cfg := patternSweepInputs(t)
-	curves, err := PatternLoadLatencyCurves(context.Background(), net, tab,
-		pats, rates, w, cfg, runner.Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curves) != len(pats) {
-		t.Fatalf("%d curves for %d patterns", len(curves), len(pats))
-	}
-	for i, c := range curves {
-		if c.Pattern != pats[i].Name() {
-			t.Errorf("curve %d named %q, want %q", i, c.Pattern, pats[i].Name())
-		}
-		if len(c.Points) != len(rates) {
-			t.Fatalf("curve %s has %d points, want %d", c.Pattern, len(c.Points), len(rates))
-		}
-		for j, p := range c.Points {
-			if p.InjectionRate != rates[j] {
-				t.Errorf("curve %s point %d at rate %v, want %v", c.Pattern, j, p.InjectionRate, rates[j])
-			}
-		}
-		// The detected knee must agree with a direct application of the
-		// rule to the returned points.
-		rate, atFloor, ok := DetectSaturation(c.Points)
-		if rate != c.SaturationRate || atFloor != c.AtFloor || ok != c.Saturates {
-			t.Errorf("curve %s knee (%v,%v,%v) disagrees with DetectSaturation (%v,%v,%v)",
-				c.Pattern, c.SaturationRate, c.AtFloor, c.Saturates, rate, atFloor, ok)
-		}
-	}
-}
-
-// TestPatternCurvesSerialParallelIdentical: the pattern×load sweep is
-// bit-identical whatever the worker count — the repository determinism
-// contract, enforced under -race by make race.
-func TestPatternCurvesSerialParallelIdentical(t *testing.T) {
-	net, tab, _ := workloadNet(t)
-	pats, rates, w, cfg := patternSweepInputs(t)
-	serial, err := PatternLoadLatencyCurves(context.Background(), net, tab,
-		pats, rates, w, cfg, runner.Config{Workers: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := PatternLoadLatencyCurves(context.Background(), net, tab,
-		pats, rates, w, cfg, runner.Config{Workers: 7}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("serial and parallel sweeps diverge:\n%+v\nvs\n%+v", serial, parallel)
-	}
-}
-
-func TestPatternCurvesRejectBadInput(t *testing.T) {
-	net, tab, _ := workloadNet(t)
-	pats, _, w, cfg := patternSweepInputs(t)
-	if _, err := PatternLoadLatencyCurves(context.Background(), net, tab,
-		pats, nil, w, cfg, runner.Config{}, nil); err == nil {
-		t.Error("empty rate grid must fail")
-	}
-	// A pattern whose precondition fails surfaces as a named error.
-	tr, err := traffic.Lookup("bitrev")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := topology.DefaultConfig()
-	c.Width, c.Height = 3, 3
-	odd := topology.MustBuild(c)
-	tab3 := routing.MustBuild(odd, routing.MonotoneExpress)
-	if _, err := PatternLoadLatencyCurves(context.Background(), odd, tab3,
-		[]traffic.Pattern{tr}, []float64{0.1}, w, cfg, runner.Config{}, nil); err == nil {
-		t.Error("bit-reversal on 9 nodes must fail")
 	}
 }

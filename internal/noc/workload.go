@@ -137,7 +137,7 @@ func LoadLatencyCurveContext(ctx context.Context, net *topology.Network, tab *ro
 
 // loadPoint runs one offered-load sample: scale the base matrix to the
 // rate, draw the Bernoulli arrivals, simulate, summarize. The simulator
-// comes from (and returns to) the reuse pool.
+// comes from (and returns to, on every path) the reuse pool.
 func loadPoint(net *topology.Network, tab *routing.Table, base *traffic.Matrix,
 	rate float64, w BernoulliWorkload, cfg Config, sims *SimPool) (LoadPoint, error) {
 	tm := base.ScaledToMaxRate(rate)
@@ -149,11 +149,11 @@ func loadPoint(net *topology.Network, tab *routing.Table, base *traffic.Matrix,
 	if err != nil {
 		return LoadPoint{}, err
 	}
+	defer sims.Put(sim)
 	if err := sim.InjectAll(pkts); err != nil {
 		return LoadPoint{}, err
 	}
 	st, err := sim.Run()
-	sims.Put(sim)
 	pt := LoadPoint{InjectionRate: rate}
 	if err != nil {
 		if !errors.Is(err, ErrSaturated) {
@@ -201,70 +201,4 @@ func DetectSaturation(points []LoadPoint) (rate float64, atFloor, ok bool) {
 		}
 	}
 	return 0, false, false
-}
-
-// PatternCurve is the load-latency curve of one named traffic pattern,
-// with its latency-knee saturation point (see DetectSaturation).
-type PatternCurve struct {
-	// Pattern is the registry name of the swept pattern.
-	Pattern string
-	// Points holds one LoadPoint per swept rate, in rate order.
-	Points []LoadPoint
-	// SaturationRate is the offered rate at the latency knee; zero when
-	// the pattern never saturates within the swept range.
-	SaturationRate float64
-	// Saturates reports whether the knee lies inside the swept range.
-	Saturates bool
-	// AtFloor marks a curve whose lowest swept rate already failed to
-	// drain: SaturationRate is then only an upper bound on capacity
-	// (the true knee lies at or below the sweep floor), not a measured
-	// throughput. See DetectSaturation.
-	AtFloor bool
-}
-
-// PatternLoadLatencyCurves sweeps the full pattern×load matrix on one
-// worker pool: every (pattern, rate) pair is an independent simulation
-// job, so the flattened batch keeps the pool busy even when patterns have
-// uneven curves. Base matrices are generated once per pattern up front
-// and only read afterwards; each job is a pure function of its index, so
-// the result is bit-identical for any worker count. Simulators are
-// recycled through sims (nil = a private pool per call), so the whole
-// matrix allocates O(live workers) simulators. Each curve's saturation
-// point is detected with the latency-knee rule documented at
-// SaturationLatencyFactor.
-func PatternLoadLatencyCurves(ctx context.Context, net *topology.Network, tab *routing.Table,
-	patterns []traffic.Pattern, rates []float64, w BernoulliWorkload, cfg Config,
-	pool runner.Config, sims *SimPool) ([]PatternCurve, error) {
-	if len(rates) == 0 {
-		return nil, fmt.Errorf("noc: pattern sweep with no rates")
-	}
-	if sims == nil {
-		sims = NewSimPool()
-	}
-	bases := make([]*traffic.Matrix, len(patterns))
-	for i, p := range patterns {
-		m, err := p.Generate(net, 1)
-		if err != nil {
-			return nil, fmt.Errorf("noc: pattern %s: %w", p.Name(), err)
-		}
-		if err := m.Validate(); err != nil {
-			return nil, fmt.Errorf("noc: pattern %s: %w", p.Name(), err)
-		}
-		bases[i] = m
-	}
-	flat, err := runner.Map(ctx, len(patterns)*len(rates), pool,
-		func(_ context.Context, i int) (LoadPoint, error) {
-			pi, ri := i/len(rates), i%len(rates)
-			return loadPoint(net, tab, bases[pi], rates[ri], w, cfg, sims)
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PatternCurve, len(patterns))
-	for pi, p := range patterns {
-		c := PatternCurve{Pattern: p.Name(), Points: flat[pi*len(rates) : (pi+1)*len(rates)]}
-		c.SaturationRate, c.AtFloor, c.Saturates = DetectSaturation(c.Points)
-		out[pi] = c
-	}
-	return out, nil
 }

@@ -164,7 +164,7 @@ func SaturationTable(results []core.PatternSweepResult) string {
 				sat = "≤" + sat
 			}
 		}
-		tbl.AddRow(sweepKind(r.Kind), r.PointLabel(), r.Pattern,
+		tbl.AddRow(sweepKind(r.Kind), r.Point.Label(r.Kind), r.Pattern,
 			strconv.FormatFloat(r.ZeroLoadLatencyClks(), 'f', 1, 64), sat)
 	}
 	return tbl.String()
@@ -253,7 +253,7 @@ func EnergyTable(results []core.EnergySweepResult) string {
 	for _, r := range results {
 		for _, p := range r.Points {
 			if p.Saturated {
-				tbl.AddRow(string(r.Kind), r.PointLabel(), r.Pattern,
+				tbl.AddRow(string(r.Kind), r.Point.Label(r.Kind), r.Pattern,
 					strconv.FormatFloat(p.Rate, 'g', 4, 64), "-", "-", "-", "-", "-", "")
 				continue
 			}
@@ -261,7 +261,7 @@ func EnergyTable(results []core.EnergySweepResult) string {
 			if p.Pareto {
 				mark = "*"
 			}
-			tbl.AddRow(string(r.Kind), r.PointLabel(), r.Pattern,
+			tbl.AddRow(string(r.Kind), r.Point.Label(r.Kind), r.Pattern,
 				strconv.FormatFloat(p.Rate, 'g', 4, 64),
 				strconv.FormatFloat(p.AvgLatencyClks, 'f', 1, 64),
 				strconv.FormatFloat(p.Run.FJPerBit, 'f', 0, 64),
@@ -290,7 +290,7 @@ func ParetoTable(results []core.EnergySweepResult) string {
 	for _, r := range results {
 		for _, p := range r.Points {
 			if p.Pareto {
-				rows = append(rows, row{string(r.Kind), r.PointLabel(), r.Pattern,
+				rows = append(rows, row{string(r.Kind), r.Point.Label(r.Kind), r.Pattern,
 					p.Rate, p.AvgLatencyClks, p.Run.FJPerBit, p.CLEAR.Value})
 			}
 		}
@@ -414,7 +414,7 @@ func TaskGraphTable(results []core.TaskGraphResult) string {
 		"makespan (clk)", "bound (clk)", "stretch", "avg lat", "p99 lat").
 		AlignRight(3, 4, 5, 6, 7, 8)
 	for _, r := range results {
-		tbl.AddRow(sweepKind(r.Kind), r.PointLabel(), r.Graph,
+		tbl.AddRow(sweepKind(r.Kind), r.Point.Label(r.Kind), r.Graph,
 			strconv.Itoa(r.Messages),
 			strconv.FormatInt(r.MakespanClks, 10),
 			strconv.FormatInt(r.LowerBoundClks, 10),

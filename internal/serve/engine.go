@@ -460,10 +460,7 @@ func (e *Engine) cellFor(canon Request) core.EvalCell {
 func buildResult(canon Request, r core.EvalCellResult) *Result {
 	base, _ := tech.ParseTechnology(canon.Base)
 	express, _ := tech.ParseTechnology(canon.Express)
-	label := core.PatternSweepResult{
-		Kind:  topology.Kind(canon.Topology),
-		Point: core.DesignPoint{Base: base, Express: express, Hops: canon.Hops},
-	}.PointLabel()
+	label := core.DesignPoint{Base: base, Express: express, Hops: canon.Hops}.Label(topology.Kind(canon.Topology))
 	res := &Result{
 		Topology:       canon.Topology,
 		Point:          label,
