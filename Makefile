@@ -17,6 +17,7 @@
 #                        on a 4096-node pattern sweep (see TestScaleSmoke)
 #   make golden        — rewrite internal/core/testdata/golden.json from HEAD
 #   make golden-serve  — rewrite the internal/serve golden protocol files from HEAD
+#   make golden-cli    — rewrite the CLI golden outputs (cmd/*/testdata) from HEAD
 #   make examples-smoke — build and run every examples/ binary (output discarded)
 #   make serve-smoke   — hyppi-serve selftest: sustained q/s + cache hit-rate gate
 #   make fault-smoke   — the reliability gate: fault-layer invariants plus
@@ -36,7 +37,7 @@ GO ?= go
 # pinned baseline.
 BENCH_OUT ?= /tmp/hyppi-bench-current.txt
 
-.PHONY: ci vet perfbench-build test short race fmt-check bench bench-baseline bench-compare scale-smoke golden golden-serve examples-smoke serve-smoke fault-smoke taskgraph-smoke telemetry-smoke
+.PHONY: ci vet perfbench-build test short race fmt-check bench bench-baseline bench-compare scale-smoke golden golden-serve golden-cli examples-smoke serve-smoke fault-smoke taskgraph-smoke telemetry-smoke
 
 # Ordered so the cheapest gates fail first: vet (seconds), the benchmark
 # module build (seconds), short (seconds), race-short (tens of seconds),
@@ -101,6 +102,13 @@ golden:
 
 golden-serve:
 	$(GO) test ./internal/serve -run TestGolden -update
+
+# The CLI goldens pin every front end's output byte for byte, driven
+# in-process through each command's run(args, stdout, stderr).
+CLI_GOLDEN_PKGS = ./cmd/hyppi-sim ./cmd/hyppi-explore ./cmd/hyppi-all ./cmd/hyppi-trace
+
+golden-cli:
+	$(GO) test $(CLI_GOLDEN_PKGS) -run TestGolden -update
 
 # Every example is a standalone demo of one experiment family; running
 # each to completion (output discarded, failures loud) keeps them from

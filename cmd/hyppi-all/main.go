@@ -17,8 +17,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -33,38 +35,48 @@ import (
 )
 
 func main() {
-	out := flag.String("out", "results", "output directory")
-	scale := flag.Float64("scale", 1.0/16, "NPB volume scale for trace runs")
-	grid := flag.String("grid", "16x16", "analytic-experiment router grid as WxH (e.g. 64x64)")
-	skipTraces := flag.Bool("skip-traces", false, "skip the cycle-accurate trace simulations")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	flag.Parse()
-
-	if err := run(*out, *scale, *grid, *skipTraces, *workers); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "hyppi-all:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dir string, scale float64, grid string, skipTraces bool, workers int) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// run parses args and writes one CSV per figure into the -out directory,
+// printing one row-count and timing line per file to stdout; progress,
+// usage and flag errors go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("hyppi-all", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dir := fs.String("out", "results", "output directory")
+	scale := fs.Float64("scale", 1.0/16, "NPB volume scale for trace runs")
+	grid := fs.String("grid", "16x16", "analytic-experiment router grid as WxH (e.g. 64x64)")
+	skipTraces := fs.Bool("skip-traces", false, "skip the cycle-accurate trace simulations")
+	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+
+	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
 	o := core.DefaultOptions()
-	w, h, err := topology.ParseGrid(grid)
+	w, h, err := topology.ParseGrid(*grid)
 	if err != nil {
 		return err
 	}
 	o.Topology.Width, o.Topology.Height = w, h
-	pool := runner.Config{Workers: workers, Progress: func(done, total int) {
-		fmt.Fprintf(os.Stderr, "\rtraces %d/%d", done, total)
+	pool := runner.Config{Workers: *workers, Progress: func(done, total int) {
+		fmt.Fprintf(stderr, "\rtraces %d/%d", done, total)
 		if done == total {
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintln(stderr)
 		}
 	}}
 
 	write := func(name string, fill func(*os.File) error) error {
-		path := filepath.Join(dir, name)
+		path := filepath.Join(*dir, name)
 		start := time.Now()
 		f, err := os.Create(path)
 		if err != nil {
@@ -87,7 +99,7 @@ func run(dir string, scale float64, grid string, skipTraces bool, workers int) e
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Printf("%-24s %4d rows  %v\n", name, rows, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "%-24s %4d rows  %v\n", name, rows, time.Since(start).Round(time.Millisecond))
 		return nil
 	}
 
@@ -105,7 +117,7 @@ func run(dir string, scale float64, grid string, skipTraces bool, workers int) e
 	// Fig. 5 + Tables III/IV.
 	if err := write("fig5_design_space.csv", func(f *os.File) error {
 		res, err := core.ExploreContext(context.Background(), core.DefaultDesignSpace(), o,
-			runner.Config{Workers: workers})
+			runner.Config{Workers: *workers})
 		if err != nil {
 			return err
 		}
@@ -125,7 +137,7 @@ func run(dir string, scale float64, grid string, skipTraces bool, workers int) e
 		return err
 	}
 
-	if skipTraces {
+	if *skipTraces {
 		return nil
 	}
 
@@ -137,7 +149,7 @@ func run(dir string, scale float64, grid string, skipTraces bool, workers int) e
 		var jobs []core.TraceJob
 		addJob := func(k npb.Kernel, express tech.Technology, hops int) {
 			cfg := npb.DefaultConfig(k)
-			cfg.Scale = scale
+			cfg.Scale = *scale
 			jobs = append(jobs, core.TraceJob{Kernel: cfg, Point: core.DesignPoint{
 				Base: tech.Electronic, Express: express, Hops: hops}})
 		}

@@ -4,14 +4,17 @@
 // express-augmented hybrids, reporting average packet latency and total
 // dynamic energy per configuration.
 //
+// hyppi-sim is the repository's one cycle-accurate front end; every
+// simulated figure and extension sweep is a mode of it.
+//
 // Usage:
 //
 //	hyppi-sim [-kernel FT|CG|MG|LU|all] [-express HyPPI] [-scale 0.0625] [-workers 0]
 //	hyppi-sim -trace file.txt [-express Photonic]
 //	hyppi-sim -pattern tornado [-express HyPPI]
 //	hyppi-sim -pattern all -topology all
-//	hyppi-sim -pattern uniform -grid 64x64
-//	hyppi-sim -pattern tornado -energy
+//	hyppi-sim -pattern uniform -grid 64x64 -csv
+//	hyppi-sim -pattern tornado -energy [-csv]
 //	hyppi-sim -pattern uniform -faults
 //	hyppi-sim -pattern uniform -faults -variant modetector,hybrid5x5 -csv
 //	hyppi-sim -taskgraph ring-allreduce [-express HyPPI]
@@ -26,12 +29,13 @@
 // offered load on the -grid geometry (default 8×8; 64×64 and beyond stay
 // interactive — routing, traffic and the kernel are all O(n) in nodes),
 // mesh versus express hybrids, and the latency-knee saturation throughput
-// is reported per configuration.
+// is reported per configuration (-csv emits the dataset instead).
 //
 // Adding -energy prices every drained point of that sweep with the
 // activity-based energy subsystem (internal/energy): measured fJ/bit, the
 // simulated CLEAR, and the latency–energy Pareto frontier across the
-// competing design points of each (topology, pattern) scenario.
+// competing design points of each (topology, pattern) scenario (-csv
+// emits the dataset instead).
 //
 // With -taskgraph, hyppi-sim runs closed-loop operator graphs instead
 // of open-loop traffic: each registry generator (reduce trees, ring and
@@ -64,6 +68,10 @@
 // of the express hop ladder; in trace mode it takes a single kind, and
 // non-mesh kinds collapse the hop ladder to the plain fabric.
 //
+// Each mode reads only its own flags: a mode-specific flag set on the
+// command line for a mode that would ignore it (say -energy with
+// -taskgraph, or -grid with a trace) is rejected with an error naming it.
+//
 // The kernel × hop-length sweep runs as one batch of independent
 // simulations on a bounded worker pool (-workers 0 sizes it to GOMAXPROCS);
 // results are identical to a serial sweep whatever the pool size.
@@ -71,8 +79,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -133,7 +143,7 @@ var (
 	patternUsage = "synthetic pattern saturation sweep instead of traces: a registry name (" +
 		strings.Join(traffic.Names(), ", ") + ") or \"all\""
 	topologyUsage = "topology kind: " + strings.Join(topology.Names(), ", ") +
-		" (comma list or \"all\" in pattern mode; single kind for traces)"
+		" (comma list or \"all\" in pattern and task-graph modes; single kind for traces)"
 	variantUsage = "with -faults: device-variant registry entries to sweep (" +
 		strings.Join(variantNames(), ", ") + "; comma list or \"all\")"
 	taskgraphUsage = "closed-loop operator-graph makespan sweep: a registry generator (" +
@@ -178,232 +188,364 @@ func parseVariants(spec string) ([]string, error) {
 	return out, nil
 }
 
-func main() {
-	os.Exit(run())
+// errIgnoredFlag marks a mode-specific flag set on the command line for a
+// mode that would silently ignore it.
+var errIgnoredFlag = errors.New("flag ignored by the selected mode")
+
+// modeFlags lists the mode-specific flags each mode reads. A flag missing
+// from every list (-topology, -express, -workers, the profiles) applies
+// to all modes.
+var modeFlags = map[string][]string{
+	"-kernel":             {"kernel", "scale", "iterations"},
+	"-trace":              {"trace"},
+	"-pattern":            {"pattern", "grid", "csv"},
+	"-pattern -energy":    {"pattern", "energy", "grid", "csv"},
+	"-pattern -faults":    {"pattern", "faults", "variant", "grid", "csv"},
+	"-pattern -trace-out": {"pattern", "trace-out", "probe-window", "grid", "csv"},
+	"-taskgraph":          {"taskgraph", "grid", "csv"},
 }
 
-// run holds main's body so deferred profile flushing survives error exits.
-func run() int {
-	kernel := flag.String("kernel", "all", "kernel: FT, CG, MG, LU or all")
-	traceFile := flag.String("trace", "", "external trace file (overrides -kernel)")
-	pattern := flag.String("pattern", "", patternUsage)
-	taskgraphFlag := flag.String("taskgraph", "", taskgraphUsage)
-	topoFlag := flag.String("topology", "mesh", topologyUsage)
-	grid := flag.String("grid", "8x8", "pattern-sweep router grid as WxH (e.g. 64x64)")
-	energySweep := flag.Bool("energy", false,
+// selectMode picks the mode from the flags given on the command line —
+// -taskgraph over -pattern over -trace, and under -pattern -trace-out
+// over -faults over -energy — and rejects any other mode-specific flag
+// given, in flag-name order. A flag set to "" or false counts as not
+// given.
+func selectMode(fs *flag.FlagSet) (string, error) {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) {
+		v := f.Value.String()
+		set[f.Name] = v != "" && v != "false"
+	})
+	mode := "-kernel"
+	switch {
+	case set["taskgraph"]:
+		mode = "-taskgraph"
+	case set["pattern"] && set["trace-out"]:
+		mode = "-pattern -trace-out"
+	case set["pattern"] && set["faults"]:
+		mode = "-pattern -faults"
+	case set["pattern"] && set["energy"]:
+		mode = "-pattern -energy"
+	case set["pattern"]:
+		mode = "-pattern"
+	case set["trace"]:
+		mode = "-trace"
+	}
+	specific, reads := map[string]bool{}, map[string]bool{}
+	for m, names := range modeFlags {
+		for _, name := range names {
+			specific[name] = true
+			reads[name] = reads[name] || m == mode
+		}
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && set[f.Name] && specific[f.Name] && !reads[f.Name] {
+			err = fmt.Errorf("%w: -%s in %s mode", errIgnoredFlag, f.Name, mode)
+		}
+	})
+	return mode, err
+}
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, checks them against the selected mode and runs it,
+// writing the report to stdout; usage and flag errors go to stderr.
+// Deferred profile flushing survives error returns.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("hyppi-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	kernel := fs.String("kernel", "all", "kernel: FT, CG, MG, LU or all")
+	traceFile := fs.String("trace", "", "replay an external trace file instead of the built-in kernels")
+	pattern := fs.String("pattern", "", patternUsage)
+	taskgraphFlag := fs.String("taskgraph", "", taskgraphUsage)
+	topoFlag := fs.String("topology", "mesh", topologyUsage)
+	grid := fs.String("grid", "8x8", "pattern and task-graph router grid as WxH (e.g. 64x64)")
+	fs.Bool("energy", false,
 		"with -pattern: measured energy accounting per sweep point "+
 			"(fJ/bit, simulated CLEAR, latency–energy Pareto frontier)")
-	faultSweep := flag.Bool("faults", false,
+	fs.Bool("faults", false,
 		"with -pattern: reliability sweep over a link-failure rate ladder "+
 			"(availability, drops, retransmissions, CLEAR degradation)")
-	variantFlag := flag.String("variant", "all", variantUsage)
-	csvOut := flag.Bool("csv", false, "with -faults: emit CSV instead of the aligned table")
-	express := flag.String("express", "HyPPI", "express link technology: Electronic, Photonic or HyPPI")
-	scale := flag.Float64("scale", 1.0/16, "NPB volume scale")
-	iters := flag.Int("iterations", 0, "iteration count (0 = kernel default)")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	traceOut := flag.String("trace-out", "",
+	variantFlag := fs.String("variant", "all", variantUsage)
+	csvOut := fs.Bool("csv", false, "emit the sweep's dataset as CSV instead of the aligned table")
+	express := fs.String("express", "HyPPI", "express link technology: Electronic, Photonic or HyPPI")
+	scale := fs.Float64("scale", 1.0/16, "NPB volume scale")
+	iters := fs.Int("iterations", 0, "iteration count (0 = kernel default)")
+	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	traceOut := fs.String("trace-out", "",
 		"with -pattern: run the instrumented telemetry sweep, write sampled packet "+
 			"traces as Chrome trace-event JSON to this file (loadable in Perfetto) "+
 			"and print span tables and probe heatmaps")
-	probeWindow := flag.Int64("probe-window", 0,
+	probeWindow := fs.Int64("probe-window", 0,
 		"with -trace-out: time-series probe window in cycles (0 = default)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	blockprofile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
-	mutexprofile := flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
-	flag.Parse()
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	blockprofile := fs.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
+	mutexprofile := fs.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	mode, err := selectMode(fs)
+	if err != nil {
+		return err
+	}
+	if *probeWindow < 0 {
+		return fmt.Errorf("-probe-window %d: must be ≥ 0 (0 = default)", *probeWindow)
+	}
 
 	stopProf, err := prof.StartAll(prof.Config{
 		CPUPath: *cpuprofile, MemPath: *memprofile,
 		BlockPath: *blockprofile, MutexPath: *mutexprofile,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
-		return 1
+		return err
 	}
 	defer stopProf()
 
 	exTech, err := tech.ParseTechnology(*express)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
-		return 1
+		return err
 	}
-	o := core.DefaultOptions()
-	pool := runner.Config{Workers: *workers}
-
 	kinds, err := topology.ParseKinds(*topoFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
-		return 1
+		return err
 	}
+	e := env{w: stdout, kinds: kinds, ex: exTech, o: core.DefaultOptions(),
+		pool: runner.Config{Workers: *workers}, csv: *csvOut}
 
-	if *taskgraphFlag != "" {
-		if *pattern != "" {
-			fmt.Fprintln(os.Stderr, "hyppi-sim: -taskgraph and -pattern are mutually exclusive")
-			return 1
-		}
-		w, h, err := topology.ParseGrid(*grid)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
-			return 1
-		}
-		o.Topology.Width, o.Topology.Height = w, h
-		if err := runTaskGraphSweep(kinds, *taskgraphFlag, exTech, *csvOut, o, pool); err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
-			return 1
-		}
-		return 0
+	switch mode {
+	case "-kernel":
+		return e.kernels(*kernel, *scale, *iters)
+	case "-trace":
+		return e.replay(*traceFile)
 	}
-	if *pattern != "" {
-		w, h, err := topology.ParseGrid(*grid)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
-			return 1
-		}
-		o.Topology.Width, o.Topology.Height = w, h
-		switch {
-		case *traceOut != "":
-			if len(kinds) != 1 {
-				err = fmt.Errorf("-trace-out takes a single -topology kind")
-			} else {
-				err = runTelemetry(kinds[0], *pattern, *traceOut, *probeWindow,
-					exTech, *csvOut, o, pool)
-			}
-		case *faultSweep:
-			err = runFaultSweep(kinds, *pattern, *variantFlag, exTech, *csvOut, o, pool)
-		case *energySweep:
-			err = runEnergySweep(kinds, *pattern, exTech, o, pool)
-		default:
-			err = runPatternSweep(kinds, *pattern, exTech, o, pool)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
-			return 1
-		}
-		return 0
+	w, h, err := topology.ParseGrid(*grid)
+	if err != nil {
+		return err
 	}
-	if *energySweep {
-		fmt.Fprintln(os.Stderr, "hyppi-sim: -energy needs -pattern (it prices the pattern sweep)")
-		return 1
+	e.o.Topology.Width, e.o.Topology.Height = w, h
+	switch mode {
+	case "-taskgraph":
+		return e.taskGraphSweep(*taskgraphFlag)
+	case "-pattern -trace-out":
+		return e.telemetry(*pattern, *traceOut, *probeWindow)
+	case "-pattern -faults":
+		return e.faultSweep(*pattern, *variantFlag)
+	case "-pattern -energy":
+		return e.energySweep(*pattern)
+	default:
+		return e.patternSweep(*pattern)
 	}
-	if *faultSweep {
-		fmt.Fprintln(os.Stderr, "hyppi-sim: -faults needs -pattern (it degrades the pattern sweep)")
-		return 1
-	}
+}
 
-	// Trace modes take a single kind; non-mesh kinds have no express
-	// axis, so the hop ladder collapses to the plain fabric.
-	if len(kinds) != 1 {
-		fmt.Fprintln(os.Stderr, "hyppi-sim: trace mode takes a single -topology kind")
-		return 1
-	}
-	o = o.WithKind(kinds[0])
-	hops := sweepHops
-	if kinds[0] != topology.Mesh {
-		hops = []int{0}
-	}
+// env is what every mode shares: the report writer, the -topology kinds,
+// the -express technology, the options (grid already applied), the worker
+// pool and the -csv switch.
+type env struct {
+	w     io.Writer
+	kinds []topology.Kind
+	ex    tech.Technology
+	o     core.Options
+	pool  runner.Config
+	csv   bool
+}
 
-	if *traceFile != "" {
-		if err := runExternal(*traceFile, exTech, o, hops, pool); err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
-			return 1
-		}
-		return 0
-	}
+// points is the sweep modes' design-point axis on the selected kinds.
+func (e env) points() []core.DesignPoint {
+	return sweepPoints(e.kinds, e.ex, e.o.Topology.Width)
+}
 
+// traceKind resolves the trace modes' single topology kind into its
+// options and hop ladder: the Fig. 6 ladder on the mesh, the plain fabric
+// alone on other kinds (they have no express axis).
+func (e env) traceKind() (core.Options, []int, error) {
+	if len(e.kinds) != 1 {
+		return core.Options{}, nil, fmt.Errorf("trace modes take a single -topology kind")
+	}
+	o := e.o.WithKind(e.kinds[0])
+	if e.kinds[0] != topology.Mesh {
+		return o, []int{0}, nil
+	}
+	return o, sweepHops, nil
+}
+
+// kernels runs the Fig. 6 / Table V batch: one job per NPB kernel × hop
+// length, simulated concurrently, printed as the latency table with the
+// dynamic energy beneath each row.
+func (e env) kernels(spec string, scale float64, iters int) error {
+	o, hops, err := e.traceKind()
+	if err != nil {
+		return err
+	}
 	kernels := npb.Kernels
-	if *kernel != "all" {
-		k, err := npb.ParseKernel(*kernel)
+	if spec != "all" {
+		k, err := npb.ParseKernel(spec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
-			return 1
+			return err
 		}
 		kernels = []npb.Kernel{k}
 	}
-
-	// One job per kernel × hop length, simulated concurrently.
 	var jobs []core.TraceJob
 	for _, k := range kernels {
 		cfg := npb.DefaultConfig(k)
-		cfg.Scale = *scale
-		cfg.Iterations = *iters
+		cfg.Scale = scale
+		cfg.Iterations = iters
 		for _, h := range hops {
 			jobs = append(jobs, core.TraceJob{Kernel: cfg, Point: core.DesignPoint{
-				Base: tech.Electronic, Express: exTech, Hops: h}})
+				Base: tech.Electronic, Express: e.ex, Hops: h}})
 		}
 	}
-	results, err := core.RunTraceExperiments(context.Background(), jobs, o, noc.DefaultConfig(), pool)
+	results, err := core.RunTraceExperiments(context.Background(), jobs, o, noc.DefaultConfig(), e.pool)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
-		return 1
+		return err
 	}
 
 	if len(hops) == 1 {
-		fmt.Printf("Fig. 6 analog — average packet latency (clks), topology = %v\n", kinds[0])
-		fmt.Printf("%-8s %-12s %-18s\n", "kernel", "latency", "dynamic energy")
+		fmt.Fprintf(e.w, "Fig. 6 analog — average packet latency (clks), topology = %v\n", e.kinds[0])
+		fmt.Fprintf(e.w, "%-8s %-12s %-18s\n", "kernel", "latency", "dynamic energy")
 		for ki, k := range kernels {
 			res := results[ki]
-			fmt.Printf("%-8s %-12.2f %-18s\n", k, res.AvgLatencyClks, core.FormatEnergy(res.DynamicEnergyJ))
+			fmt.Fprintf(e.w, "%-8s %-12.2f %-18s\n", k, res.AvgLatencyClks, core.FormatEnergy(res.DynamicEnergyJ))
 		}
-		return 0
+		return nil
 	}
-	fmt.Printf("Fig. 6 — average packet latency (clks), express = %v\n", exTech)
-	fmt.Printf("%-8s %-12s %-12s %-12s %-12s %-18s\n",
+	fmt.Fprintf(e.w, "Fig. 6 — average packet latency (clks), express = %v\n", e.ex)
+	fmt.Fprintf(e.w, "%-8s %-12s %-12s %-12s %-12s %-18s\n",
 		"kernel", "mesh", "hops=3", "hops=5", "hops=15", "best speedup")
 	for ki, k := range kernels {
-		lat := make([]float64, len(hops))
-		energy := make([]float64, len(hops))
-		for i := range hops {
-			res := results[ki*len(hops)+i]
-			lat[i] = res.AvgLatencyClks
-			energy[i] = res.DynamicEnergyJ
-		}
-		best := lat[0] / min3(lat[1], lat[2], lat[3])
-		fmt.Printf("%-8s %-12.2f %-12.2f %-12.2f %-12.2f %.2fx\n",
-			k, lat[0], lat[1], lat[2], lat[3], best)
-		fmt.Printf("%-8s %-12s %-12s %-12s %-12s (dynamic energy, Table V style)\n",
-			"", core.FormatEnergy(energy[0]), core.FormatEnergy(energy[1]),
-			core.FormatEnergy(energy[2]), core.FormatEnergy(energy[3]))
+		r := results[ki*len(hops) : (ki+1)*len(hops)]
+		best := r[0].AvgLatencyClks / min(r[1].AvgLatencyClks, r[2].AvgLatencyClks, r[3].AvgLatencyClks)
+		fmt.Fprintf(e.w, "%-8s %-12.2f %-12.2f %-12.2f %-12.2f %.2fx\n",
+			k, r[0].AvgLatencyClks, r[1].AvgLatencyClks, r[2].AvgLatencyClks, r[3].AvgLatencyClks, best)
+		fmt.Fprintf(e.w, "%-8s %-12s %-12s %-12s %-12s (dynamic energy, Table V style)\n",
+			"", core.FormatEnergy(r[0].DynamicEnergyJ), core.FormatEnergy(r[1].DynamicEnergyJ),
+			core.FormatEnergy(r[2].DynamicEnergyJ), core.FormatEnergy(r[3].DynamicEnergyJ))
 	}
-	return 0
+	return nil
 }
 
-// runEnergySweep prices the pattern sweep with the activity-based energy
-// subsystem: on the mesh the express hop ladder competes, on other (or
-// multiple) kinds one plain fabric per kind does. Each drained point
-// reports measured fJ/bit and the simulated CLEAR; each (topology,
-// pattern) scenario gets its latency–energy Pareto frontier.
-func runEnergySweep(kinds []topology.Kind, spec string, exTech tech.Technology,
-	o core.Options, pool runner.Config) error {
+// replay runs a trace file on the selected kind's hop ladder, one
+// concurrent simulation per hop length (see core.ReplayTrace).
+func (e env) replay(path string) error {
+	o, hops, err := e.traceKind()
+	if err != nil {
+		return err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	events, err := trace.Read(f)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	fmt.Fprintf(e.w, "trace %s: %d messages, %d bytes\n", path, len(events), trace.TotalBytes(events))
+	points := make([]core.DesignPoint, len(hops))
+	for i, h := range hops {
+		points[i] = core.DesignPoint{Base: tech.Electronic, Express: e.ex, Hops: h}
+	}
+	results, err := core.ReplayTrace(context.Background(), events, points, o, noc.DefaultConfig(), e.pool)
+	if err != nil {
+		return err
+	}
+	for _, r := range results {
+		fmt.Fprintf(e.w, "hops=%-3d latency %-10.2f dynamic %-12s static %.3f W\n",
+			r.Point.Hops, r.AvgLatencyClks, core.FormatEnergy(r.DynamicEnergyJ), r.StaticPowerW)
+	}
+	return nil
+}
+
+// patternSweep sweeps one registry pattern (or all of them) over offered
+// load on the -grid geometry — on the lone mesh kind the plain electronic
+// mesh against the express hop ladder, otherwise one plain electronic
+// fabric per selected kind — printing each configuration's load-latency
+// curve and its latency-knee saturation throughput (see
+// noc.DetectSaturation).
+func (e env) patternSweep(spec string) error {
 	patterns, err := traffic.ParsePatterns(spec)
 	if err != nil {
 		return err
 	}
 	sc := core.DefaultEnergySweep()
-	results, err := core.EnergySweep(context.Background(), kinds,
-		sweepPoints(kinds, exTech, o.Topology.Width), patterns, sc, o, pool)
+	results, err := core.PatternSweep(context.Background(), e.kinds, e.points(), patterns, sc, e.o, e.pool)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d×%d measured latency–energy sweep, express = %v, rates = %v\n",
-		o.Topology.Width, o.Topology.Height, exTech, sc.Rates)
-	fmt.Println("(fJ/bit = measured activity energy + static power integrated over the run;")
-	fmt.Println(" '*' marks the latency–energy Pareto frontier of the scenario)")
-	fmt.Print(report.EnergyTable(results))
-	fmt.Println("\nPareto frontier per (topology, pattern) scenario")
-	fmt.Print(report.ParetoTable(results))
+	if e.csv {
+		return report.WritePatternSweep(e.w, results)
+	}
+	ladder := meshLadder(e.kinds)
+	if ladder {
+		fmt.Fprintf(e.w, "%d×%d pattern saturation sweep, express = %v, rates = %v\n",
+			e.o.Topology.Width, e.o.Topology.Height, e.ex, sc.Rates)
+	} else {
+		fmt.Fprintf(e.w, "%d×%d topology × pattern saturation sweep, rates = %v\n",
+			e.o.Topology.Width, e.o.Topology.Height, sc.Rates)
+	}
+	for _, r := range results {
+		if ladder {
+			fmt.Fprintf(e.w, "\n%v / %s\n", r.Point, r.Pattern)
+		} else {
+			fmt.Fprintf(e.w, "\n%v / %s\n", r.Kind, r.Pattern)
+		}
+		for _, p := range r.Curve {
+			if p.Saturated {
+				fmt.Fprintf(e.w, "  rate %-6.3g saturated (failed to drain)\n", p.InjectionRate)
+				continue
+			}
+			fmt.Fprintf(e.w, "  rate %-6.3g avg %-8.1f p99 %.1f\n",
+				p.InjectionRate, p.AvgLatencyClks, p.P99LatencyClks)
+		}
+	}
+	fmt.Fprintln(e.w, "\nSaturation summary (latency-knee rule: avg > 3x zero-load, or no drain)")
+	fmt.Fprint(e.w, report.SaturationTable(results))
 	return nil
 }
 
-// runFaultSweep degrades the pattern sweep with the fault and variation
+// energySweep prices the pattern sweep with the activity-based energy
+// subsystem: each drained point reports measured fJ/bit and the simulated
+// CLEAR; each (topology, pattern) scenario gets its latency–energy Pareto
+// frontier.
+func (e env) energySweep(spec string) error {
+	patterns, err := traffic.ParsePatterns(spec)
+	if err != nil {
+		return err
+	}
+	sc := core.DefaultEnergySweep()
+	results, err := core.EnergySweep(context.Background(), e.kinds, e.points(), patterns, sc, e.o, e.pool)
+	if err != nil {
+		return err
+	}
+	if e.csv {
+		return report.WriteEnergySweep(e.w, results)
+	}
+	fmt.Fprintf(e.w, "%d×%d measured latency–energy sweep, express = %v, rates = %v\n",
+		e.o.Topology.Width, e.o.Topology.Height, e.ex, sc.Rates)
+	fmt.Fprintln(e.w, "(fJ/bit = measured activity energy + static power integrated over the run;")
+	fmt.Fprintln(e.w, " '*' marks the latency–energy Pareto frontier of the scenario)")
+	fmt.Fprint(e.w, report.EnergyTable(results))
+	fmt.Fprintln(e.w, "\nPareto frontier per (topology, pattern) scenario")
+	fmt.Fprint(e.w, report.ParetoTable(results))
+	return nil
+}
+
+// faultSweep degrades the pattern sweep with the fault and variation
 // layer: each (topology, design point, device variant, pattern) cell runs
 // the fault-rate ladder — seed-derived link-failure schedules, adaptive
 // reroute, BER-driven retransmission under thermal drift — and reports
 // availability, explicit loss accounting, and CLEAR degradation relative
 // to the cell's healthy point.
-func runFaultSweep(kinds []topology.Kind, spec, variantSpec string, exTech tech.Technology,
-	csvOut bool, o core.Options, pool runner.Config) error {
+func (e env) faultSweep(spec, variantSpec string) error {
 	patterns, err := traffic.ParsePatterns(spec)
 	if err != nil {
 		return err
@@ -413,116 +555,70 @@ func runFaultSweep(kinds []topology.Kind, spec, variantSpec string, exTech tech.
 		return err
 	}
 	sc := core.DefaultFaultSweep()
-	results, err := core.FaultSweep(context.Background(), kinds,
-		sweepPoints(kinds, exTech, o.Topology.Width), variants, patterns, sc, o, pool)
+	results, err := core.FaultSweep(context.Background(), e.kinds, e.points(), variants, patterns, sc, e.o, e.pool)
 	if err != nil {
 		return err
 	}
-	if csvOut {
-		return report.WriteFaultSweep(os.Stdout, results)
+	if e.csv {
+		return report.WriteFaultSweep(e.w, results)
 	}
-	fmt.Printf("%d×%d reliability sweep, express = %v, fault rates = %v, %d epochs\n",
-		o.Topology.Width, o.Topology.Height, exTech, sc.Rates, sc.Epochs)
-	fmt.Println("(avail = fraction of (src,dst) pairs still connected; CLEAR× = CLEAR vs the healthy point)")
-	fmt.Print(report.FaultTable(results))
+	fmt.Fprintf(e.w, "%d×%d reliability sweep, express = %v, fault rates = %v, %d epochs\n",
+		e.o.Topology.Width, e.o.Topology.Height, e.ex, sc.Rates, sc.Epochs)
+	fmt.Fprintln(e.w, "(avail = fraction of (src,dst) pairs still connected; CLEAR× = CLEAR vs the healthy point)")
+	fmt.Fprint(e.w, report.FaultTable(results))
 	return nil
 }
 
-// runTaskGraphSweep replays the named closed-loop operator graphs on the
+// taskGraphSweep replays the named closed-loop operator graphs on the
 // selected fabrics: on the lone mesh kind the express hop ladder competes
 // (the Fig. 6 axis, now scored by end-to-end makespan); otherwise one
 // plain fabric per kind. Each cell reports the simulated makespan, the
 // contention-free critical-path bound, and their ratio (stretch) — the
 // congestion-feedback figure of merit.
-func runTaskGraphSweep(kinds []topology.Kind, spec string, exTech tech.Technology,
-	csvOut bool, o core.Options, pool runner.Config) error {
+func (e env) taskGraphSweep(spec string) error {
 	gens, err := taskgraph.ParseGenerators(spec)
 	if err != nil {
 		return err
 	}
 	sc := core.DefaultTaskGraphSweep()
-	points := sweepPoints(kinds, exTech, o.Topology.Width)
 	var results []core.TaskGraphResult
-	for _, k := range kinds {
-		rs, err := core.TaskGraphSweep(context.Background(), points, gens, sc, o.WithKind(k), pool)
+	for _, k := range e.kinds {
+		rs, err := core.TaskGraphSweep(context.Background(), e.points(), gens, sc, e.o.WithKind(k), e.pool)
 		if err != nil {
 			return err
 		}
 		results = append(results, rs...)
 	}
-	if csvOut {
-		return report.WriteTaskGraphSweep(os.Stdout, results)
+	if e.csv {
+		return report.WriteTaskGraphSweep(e.w, results)
 	}
-	fmt.Printf("%d×%d closed-loop task-graph sweep, express = %v, payload %d flits, compute %d clks\n",
-		o.Topology.Width, o.Topology.Height, exTech, sc.Gen.SizeFlits, sc.Gen.ComputeClks)
-	fmt.Println("(bound = contention-free critical path; stretch = makespan/bound, 1.00 = never delayed)")
-	fmt.Print(report.TaskGraphTable(results))
+	fmt.Fprintf(e.w, "%d×%d closed-loop task-graph sweep, express = %v, payload %d flits, compute %d clks\n",
+		e.o.Topology.Width, e.o.Topology.Height, e.ex, sc.Gen.SizeFlits, sc.Gen.ComputeClks)
+	fmt.Fprintln(e.w, "(bound = contention-free critical path; stretch = makespan/bound, 1.00 = never delayed)")
+	fmt.Fprint(e.w, report.TaskGraphTable(results))
 	return nil
 }
 
-// runPatternSweep sweeps one registry pattern (or all of them) over
-// offered load on the -grid geometry — on the lone mesh kind the plain
-// electronic mesh against the express hop ladder, otherwise one plain
-// electronic fabric per selected kind — printing each configuration's
-// load-latency curve and its latency-knee saturation throughput (see
-// noc.DetectSaturation).
-func runPatternSweep(kinds []topology.Kind, spec string, exTech tech.Technology, o core.Options, pool runner.Config) error {
-	patterns, err := traffic.ParsePatterns(spec)
-	if err != nil {
-		return err
-	}
-	sc := core.DefaultEnergySweep()
-	results, err := core.PatternSweep(context.Background(), kinds,
-		sweepPoints(kinds, exTech, o.Topology.Width), patterns, sc, o, pool)
-	if err != nil {
-		return err
-	}
-	if meshLadder(kinds) {
-		fmt.Printf("%d×%d pattern saturation sweep, express = %v, rates = %v\n",
-			o.Topology.Width, o.Topology.Height, exTech, sc.Rates)
-	} else {
-		fmt.Printf("%d×%d topology × pattern saturation sweep, rates = %v\n",
-			o.Topology.Width, o.Topology.Height, sc.Rates)
-	}
-	for _, r := range results {
-		if meshLadder(kinds) {
-			fmt.Printf("\n%v / %s\n", r.Point, r.Pattern)
-		} else {
-			fmt.Printf("\n%v / %s\n", r.Kind, r.Pattern)
-		}
-		for _, p := range r.Curve {
-			if p.Saturated {
-				fmt.Printf("  rate %-6.3g saturated (failed to drain)\n", p.InjectionRate)
-				continue
-			}
-			fmt.Printf("  rate %-6.3g avg %-8.1f p99 %.1f\n",
-				p.InjectionRate, p.AvgLatencyClks, p.P99LatencyClks)
-		}
-	}
-	fmt.Println("\nSaturation summary (latency-knee rule: avg > 3x zero-load, or no drain)")
-	fmt.Print(report.SaturationTable(results))
-	return nil
-}
-
-// runTelemetry is the instrumented variant of the pattern sweep: one run
-// per design point × pattern at the telemetry load with sampled packet
+// telemetry is the instrumented variant of the pattern sweep: one run per
+// design point × pattern at the telemetry load with sampled packet
 // tracing and windowed probes attached, the Chrome trace-event export
 // written to traceOut, and the probe census printed as tables and text
 // heatmaps (or CSV with -csv). On the mesh the express hop ladder
 // competes; other kinds run the plain fabric.
-func runTelemetry(kind topology.Kind, spec, traceOut string, probeWindow int64,
-	exTech tech.Technology, csvOut bool, o core.Options, pool runner.Config) error {
+func (e env) telemetry(spec, traceOut string, probeWindow int64) error {
+	if len(e.kinds) != 1 {
+		return fmt.Errorf("-trace-out takes a single -topology kind")
+	}
 	patterns, err := traffic.ParsePatterns(spec)
 	if err != nil {
 		return err
 	}
-	o = o.WithKind(kind)
+	o := e.o.WithKind(e.kinds[0])
 	sc := core.DefaultTelemetrySweep()
 	if probeWindow > 0 {
 		sc.Telemetry.ProbeWindowClks = probeWindow
 	}
-	results, err := core.TelemetrySweep(context.Background(),
-		sweepPoints([]topology.Kind{kind}, exTech, o.Topology.Width), patterns, sc, o, pool)
+	results, err := core.TelemetrySweep(context.Background(), e.points(), patterns, sc, o, e.pool)
 	if err != nil {
 		return err
 	}
@@ -539,103 +635,33 @@ func runTelemetry(kind topology.Kind, spec, traceOut string, probeWindow int64,
 		return err
 	}
 
-	if csvOut {
-		return report.WriteTelemetrySweep(os.Stdout, results)
+	if e.csv {
+		return report.WriteTelemetrySweep(e.w, results)
 	}
-	fmt.Printf("%d×%d telemetry sweep @ rate %.3g, sample %.3g, window %d clks\n",
+	fmt.Fprintf(e.w, "%d×%d telemetry sweep @ rate %.3g, sample %.3g, window %d clks\n",
 		o.Topology.Width, o.Topology.Height, sc.Rate,
 		sc.Telemetry.SampleRate, sc.Telemetry.ProbeWindowClks)
 	for _, r := range results {
-		fmt.Printf("\n=== %s ===\n", r.Label())
+		fmt.Fprintf(e.w, "\n=== %s ===\n", r.Label())
 		if r.Saturated {
-			fmt.Println("saturated (failed to drain); telemetry covers the run up to the cap")
+			fmt.Fprintln(e.w, "saturated (failed to drain); telemetry covers the run up to the cap")
 		}
-		fmt.Printf("packets %d, sampled %d (%d spans recorded)\n",
+		fmt.Fprintf(e.w, "packets %d, sampled %d (%d spans recorded)\n",
 			r.Trace.TotalPackets, r.Trace.SampledPackets, len(r.Trace.Spans))
-		fmt.Print(report.SpanTable(r.Trace, 15))
+		fmt.Fprint(e.w, report.SpanTable(r.Trace, 15))
 		p := r.Probes
-		fmt.Printf("\nprobe timeline (%d windows of %d clks):\n", p.Windows(), p.WindowClks())
-		fmt.Print(report.ProbeTimeline(p))
+		fmt.Fprintf(e.w, "\nprobe timeline (%d windows of %d clks):\n", p.Windows(), p.WindowClks())
+		fmt.Fprint(e.w, report.ProbeTimeline(p))
 		net, _, err := o.NetworkAndTable(r.Point)
 		if err != nil {
 			return err
 		}
 		if peak := report.PeakWindow(p); peak >= 0 {
-			fmt.Print(report.ProbeOccupancyGrid(p, net, peak))
-			fmt.Print(report.ProbeLinkHeatmap(p, net, 12))
+			fmt.Fprint(e.w, report.ProbeOccupancyGrid(p, net, peak))
+			fmt.Fprint(e.w, report.ProbeLinkHeatmap(p, net, 12))
 		}
 	}
-	fmt.Printf("\nwrote Chrome trace JSON for %d cells to %s (open in Perfetto or chrome://tracing)\n",
+	fmt.Fprintf(e.w, "\nwrote Chrome trace JSON for %d cells to %s (open in Perfetto or chrome://tracing)\n",
 		len(results), traceOut)
-	return nil
-}
-
-func min3(a, b, c float64) float64 {
-	m := a
-	if b < m {
-		m = b
-	}
-	if c < m {
-		m = c
-	}
-	return m
-}
-
-// runExternal replays a trace file on the selected topology's hop ladder
-// (mesh and hops=3/5/15 hybrids; plain fabric only for non-mesh kinds),
-// one concurrent simulation per hop length (the parsed events are only
-// read; networks and tables come from the process-wide cache).
-func runExternal(path string, exTech tech.Technology, o core.Options, hops []int, pool runner.Config) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	events, err := trace.Read(f)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("trace %s: %d messages, %d bytes\n", path, len(events), trace.TotalBytes(events))
-	type hopResult struct {
-		latency  float64
-		dynamicJ float64
-		staticW  float64
-	}
-	results, err := runner.Map(context.Background(), len(hops), pool,
-		func(_ context.Context, i int) (hopResult, error) {
-			point := core.DesignPoint{Base: tech.Electronic, Express: exTech, Hops: hops[i]}
-			net, tab, err := o.NetworkAndTable(point)
-			if err != nil {
-				return hopResult{}, err
-			}
-			packets, err := trace.Packetize(events, net.NumNodes(), trace.DefaultPacketize())
-			if err != nil {
-				return hopResult{}, err
-			}
-			sim, err := noc.New(net, tab, noc.DefaultConfig())
-			if err != nil {
-				return hopResult{}, err
-			}
-			if err := sim.InjectAll(packets); err != nil {
-				return hopResult{}, err
-			}
-			stats, err := sim.Run()
-			if err != nil {
-				return hopResult{}, err
-			}
-			dynamic, static, err := core.PriceRun(net, stats, o.DSENT)
-			if err != nil {
-				return hopResult{}, err
-			}
-			return hopResult{latency: stats.AvgPacketLatencyClks, dynamicJ: dynamic, staticW: static}, nil
-		})
-	if err != nil {
-		return err
-	}
-	for i, h := range hops {
-		r := results[i]
-		fmt.Printf("hops=%-3d latency %-10.2f dynamic %-12s static %.3f W\n",
-			h, r.latency, core.FormatEnergy(r.dynamicJ), r.staticW)
-	}
 	return nil
 }

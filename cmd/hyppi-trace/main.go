@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/npb"
@@ -18,18 +20,33 @@ import (
 )
 
 func main() {
-	kernel := flag.String("kernel", "FT", "benchmark kernel: FT, CG, MG or LU")
-	scale := flag.Float64("scale", 1.0/16, "message volume scale relative to Class A")
-	iters := flag.Int("iterations", 0, "iteration count (0 = kernel default)")
-	factor := flag.Float64("factor", 8, "injection pacing factor (≈1/injection rate)")
-	seed := flag.Int64("seed", 1, "send-order shuffle seed")
-	out := flag.String("o", "", "output file (default stdout)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "hyppi-trace:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, synthesizes the kernel's trace and writes it to -o (or
+// stdout); the summary line, usage and flag errors go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("hyppi-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	kernel := fs.String("kernel", "FT", "benchmark kernel: FT, CG, MG or LU")
+	scale := fs.Float64("scale", 1.0/16, "message volume scale relative to Class A")
+	iters := fs.Int("iterations", 0, "iteration count (0 = kernel default)")
+	factor := fs.Float64("factor", 8, "injection pacing factor (≈1/injection rate)")
+	seed := fs.Int64("seed", 1, "send-order shuffle seed")
+	out := fs.String("o", "", "output file (default stdout)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	k, err := npb.ParseKernel(*kernel)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hyppi-trace:", err)
-		os.Exit(1)
+		return err
 	}
 	cfg := npb.DefaultConfig(k)
 	cfg.Scale = *scale
@@ -39,24 +56,32 @@ func main() {
 
 	events, err := npb.Generate(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hyppi-trace:", err)
-		os.Exit(1)
+		return err
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-trace:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
+	if *out == "" {
+		err = trace.Write(stdout, events)
+	} else {
+		err = writeFile(*out, events)
 	}
-	if err := trace.Write(w, events); err != nil {
-		fmt.Fprintln(os.Stderr, "hyppi-trace:", err)
-		os.Exit(1)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "hyppi-trace: %s — %d messages, %d bytes total\n",
+	fmt.Fprintf(stderr, "hyppi-trace: %s — %d messages, %d bytes total\n",
 		k, len(events), trace.TotalBytes(events))
+	return nil
+}
+
+// writeFile writes events to a new file at path and closes it explicitly:
+// a failed write-back surfaces at Close, and must not read as success.
+func writeFile(path string, events []trace.Event) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := trace.Write(f, events); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -7,6 +7,7 @@
 //	Explore             — Fig. 5, Tables III & IV (hybrid design space)
 //	ExploreKinds        — the same analytic evaluation across topology kinds
 //	RunTraceExperiment  — Fig. 6, Table V (cycle-accurate NPB traces)
+//	ReplayTrace         — the same pipeline over an already-parsed trace
 //	AllOpticalRadar     — Fig. 8, Table VI (fully optical projections)
 //	PatternSweep        — synthetic-pattern load-latency curves and knees
 //	EnergySweep         — measured latency–energy ladders, Pareto fronts
@@ -34,6 +35,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/tech"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/units"
 )
@@ -249,15 +251,31 @@ func RunTraceExperiment(kernel npb.Config, point DesignPoint, o Options, nocCfg 
 }
 
 // runTraceExperiment is RunTraceExperiment with simulator reuse: the Sim is
-// drawn from (and returned to) sims when non-nil. The topology and routing
-// table always come from the process-wide network cache.
+// drawn from (and returned to) sims when non-nil. The kernel's trace is
+// generated inside the job, so a batch generates its traces in parallel.
 func runTraceExperiment(kernel npb.Config, point DesignPoint, o Options, nocCfg noc.Config,
+	sims *noc.SimPool) (TraceResult, error) {
+	events, err := npb.Generate(kernel)
+	if err != nil {
+		return TraceResult{}, err
+	}
+	res, err := replayTrace(events, point, o, nocCfg, sims)
+	res.Kernel = kernel.Kernel
+	return res, err
+}
+
+// replayTrace packetizes already-parsed trace events for one design
+// point's network, simulates them on a Sim drawn from sims (nil builds a
+// fresh one) and prices the run with the modified-DSENT models. The
+// topology and routing table come from the process-wide network cache;
+// events are only read.
+func replayTrace(events []trace.Event, point DesignPoint, o Options, nocCfg noc.Config,
 	sims *noc.SimPool) (TraceResult, error) {
 	f, err := o.resolve(point, false)
 	if err != nil {
 		return TraceResult{}, err
 	}
-	packets, err := tracePackets(kernel, f.net.NumNodes())
+	packets, err := trace.Packetize(events, f.net.NumNodes(), trace.DefaultPacketize())
 	if err != nil {
 		return TraceResult{}, err
 	}
@@ -270,7 +288,6 @@ func runTraceExperiment(kernel npb.Config, point DesignPoint, o Options, nocCfg 
 		return TraceResult{}, err
 	}
 	return TraceResult{
-		Kernel:         kernel.Kernel,
 		Point:          point,
 		AvgLatencyClks: stats.AvgPacketLatencyClks,
 		DynamicEnergyJ: dynamic,
@@ -300,6 +317,23 @@ func RunTraceExperiments(ctx context.Context, jobs []TraceJob, o Options, nocCfg
 		res, err := runTraceExperiment(jobs[i].Kernel, jobs[i].Point, o, nocCfg, sims)
 		if err != nil {
 			return TraceResult{}, fmt.Errorf("core: %v on %v: %w", jobs[i].Kernel.Kernel, jobs[i].Point, err)
+		}
+		return res, nil
+	})
+}
+
+// ReplayTrace replays one already-parsed trace (a file written by
+// hyppi-trace, say) on each design point as a batch on the worker pool,
+// returning results in point order with a zero Kernel. Each point is
+// packetized, simulated and priced exactly as a RunTraceExperiments job,
+// sharing one simulator pool across the batch.
+func ReplayTrace(ctx context.Context, events []trace.Event, points []DesignPoint, o Options,
+	nocCfg noc.Config, cfg runner.Config) ([]TraceResult, error) {
+	sims := noc.NewSimPool()
+	return runner.Map(ctx, len(points), cfg, func(_ context.Context, i int) (TraceResult, error) {
+		res, err := replayTrace(events, points[i], o, nocCfg, sims)
+		if err != nil {
+			return TraceResult{}, fmt.Errorf("core: trace on %v: %w", points[i], err)
 		}
 		return res, nil
 	})

@@ -117,6 +117,51 @@ func TestTraceExperimentsPooledMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestReplayTraceMatchesTraceExperiments: replaying an already-generated
+// kernel trace is the same pipeline as the kernel job — identical results
+// but for the Kernel label — for any pool size, and a trace addressing
+// more ranks than the network has nodes is an error.
+func TestReplayTraceMatchesTraceExperiments(t *testing.T) {
+	o := DefaultOptions()
+	k := npb.DefaultConfig(npb.CG)
+	k.Iterations = 1
+	k.Scale = 1.0 / 256
+	var jobs []TraceJob
+	var points []DesignPoint
+	for _, hops := range []int{0, 3, 5, 15} {
+		p := DesignPoint{Base: tech.Electronic, Express: tech.HyPPI, Hops: hops}
+		jobs = append(jobs, TraceJob{Kernel: k, Point: p})
+		points = append(points, p)
+	}
+	want, err := RunTraceExperiments(context.Background(), jobs, o, noc.DefaultConfig(), runner.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := npb.Generate(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		got, err := ReplayTrace(context.Background(), events, points, o, noc.DefaultConfig(),
+			runner.Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			got[i].Kernel = k.Kernel
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("workers=%d %v: replay differs from the kernel job", workers, points[i])
+			}
+		}
+	}
+	small := o
+	small.Topology.Width, small.Topology.Height = 4, 4
+	if _, err := ReplayTrace(context.Background(), events, points[:1], small, noc.DefaultConfig(),
+		runner.Config{}); err == nil {
+		t.Error("256-rank trace replayed on a 4×4 network without error")
+	}
+}
+
 // TestExploreRepeatedCallsIdentical: the process-wide network, table and
 // traffic caches must not let one sweep's results leak into the next —
 // repeated explorations are bit-identical.

@@ -473,21 +473,6 @@ func JSONLine(v any) ([]byte, error) {
 	return bytes.TrimRight(buf.Bytes(), "\n"), nil
 }
 
-// WriteJSONLines emits one JSONLine per row — the JSON-lines counterpart
-// of the CSV writers for downstream tools that prefer jq to csvkit.
-func WriteJSONLines[T any](w io.Writer, rows []T) error {
-	for _, r := range rows {
-		line, err := JSONLine(r)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Check validates that a CSV stream parses and has the expected column
 // count on every row; used by the orchestrator as a write-through sanity
 // check.

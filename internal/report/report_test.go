@@ -450,21 +450,3 @@ func TestJSONLine(t *testing.T) {
 		t.Error("unencodable value accepted")
 	}
 }
-
-// TestWriteJSONLines: one line per row, in order, each parseable.
-func TestWriteJSONLines(t *testing.T) {
-	type row struct {
-		N int `json:"n"`
-	}
-	var buf bytes.Buffer
-	if err := WriteJSONLines(&buf, []row{{1}, {2}, {3}}); err != nil {
-		t.Fatal(err)
-	}
-	want := "{\"n\":1}\n{\"n\":2}\n{\"n\":3}\n"
-	if buf.String() != want {
-		t.Errorf("got %q, want %q", buf.String(), want)
-	}
-	if err := WriteJSONLines(&buf, []func(){func() {}}); err == nil {
-		t.Error("unencodable row accepted")
-	}
-}
