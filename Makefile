@@ -105,7 +105,7 @@ golden-serve:
 
 # The CLI goldens pin every front end's output byte for byte, driven
 # in-process through each command's run(args, stdout, stderr).
-CLI_GOLDEN_PKGS = ./cmd/hyppi-sim ./cmd/hyppi-explore ./cmd/hyppi-all ./cmd/hyppi-trace
+CLI_GOLDEN_PKGS = ./cmd/hyppi-sim ./cmd/hyppi-explore ./cmd/hyppi-all ./cmd/hyppi-trace ./cmd/hyppi-benchcmp
 
 golden-cli:
 	$(GO) test $(CLI_GOLDEN_PKGS) -run TestGolden -update

@@ -513,35 +513,17 @@ func BenchmarkExtensionExpress2D(b *testing.B) {
 // kind, guarding the registry's build → route → simulate paths and
 // reporting each fabric's zero-load-ish latency side by side.
 func BenchmarkTopologyKinds(b *testing.B) {
+	sc := core.EnergySweepConfig{
+		Rates:    []float64{0.05},
+		Workload: noc.BernoulliWorkload{SizeFlits: 1, Cycles: 2000, Seed: 7},
+		NoC:      noc.DefaultConfig(),
+	}
 	for _, kind := range topology.Kinds() {
 		b.Run(string(kind), func(b *testing.B) {
-			c := topology.DefaultConfig()
-			c.Kind = kind
-			c.Width, c.Height = 8, 8
-			net, err := topology.Build(c)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tab := routing.MustBuild(net, routing.MonotoneExpress)
-			uniform, err := traffic.Lookup("uniform")
-			if err != nil {
-				b.Fatal(err)
-			}
-			tm, err := uniform.Generate(net, 0.05)
-			if err != nil {
-				b.Fatal(err)
-			}
-			w := noc.BernoulliWorkload{SizeFlits: 1, Cycles: 2000, Seed: 7}
-			var lat float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pts, err := noc.LoadLatencyCurve(net, tab, tm, []float64{0.05}, w, noc.DefaultConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				lat = pts[0].AvgLatencyClks
-			}
-			b.ReportMetric(lat, "latency_r0.05_clks")
+			o := core.DefaultOptions().WithKind(kind)
+			o.Topology.Width, o.Topology.Height = 8, 8
+			lat := benchPatternSweep(b, o, core.DesignPoint{Base: tech.Electronic, Express: tech.Electronic}, sc)
+			b.ReportMetric(lat[0], "latency_r0.05_clks")
 		})
 	}
 }
@@ -550,24 +532,44 @@ func BenchmarkTopologyKinds(b *testing.B) {
 // cycle-accurate simulator on an 8×8 express mesh — the classic saturation
 // curve, reported as latency at low/mid load.
 func BenchmarkExtensionLoadLatency(b *testing.B) {
-	c := topology.DefaultConfig()
-	c.Width, c.Height = 8, 8
-	c.ExpressTech = tech.HyPPI
-	c.ExpressHops = 3
-	net := topology.MustBuild(c)
-	tab := routing.MustBuild(net, routing.MonotoneExpress)
-	base := traffic.Uniform(net, 0.1)
-	w := noc.BernoulliWorkload{SizeFlits: 1, Cycles: 3000, Seed: 11}
-	var low, mid float64
+	o := core.DefaultOptions()
+	o.Topology.Width, o.Topology.Height = 8, 8
+	sc := core.EnergySweepConfig{
+		Rates:    []float64{0.05, 0.35},
+		Workload: noc.BernoulliWorkload{SizeFlits: 1, Cycles: 3000, Seed: 11},
+		NoC:      noc.DefaultConfig(),
+	}
+	lat := benchPatternSweep(b, o, core.DesignPoint{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3}, sc)
+	b.ReportMetric(lat[0], "latency_r0.05_clks")
+	b.ReportMetric(lat[1], "latency_r0.35_clks")
+}
+
+// benchPatternSweep times a uniform-traffic core.PatternSweep of one
+// design point and returns its curve's average latencies. The network is
+// built before the timer starts and the sweep runs on one worker, so
+// allocs/op counts only the sweep and does not depend on GOMAXPROCS.
+func benchPatternSweep(b *testing.B, o core.Options, point core.DesignPoint, sc core.EnergySweepConfig) []float64 {
+	pats, err := traffic.ParsePatterns("uniform")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := o.NetworkAndTable(point); err != nil {
+		b.Fatal(err)
+	}
+	var res []core.PatternSweepResult
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, err := noc.LoadLatencyCurve(net, tab, base, []float64{0.05, 0.35}, w, noc.DefaultConfig())
+		res, err = core.PatternSweep(context.Background(), []topology.Kind{o.Topology.Kind},
+			[]core.DesignPoint{point}, pats, sc, o, runner.Config{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		low, mid = pts[0].AvgLatencyClks, pts[1].AvgLatencyClks
 	}
-	b.ReportMetric(low, "latency_r0.05_clks")
-	b.ReportMetric(mid, "latency_r0.35_clks")
+	lat := make([]float64, len(res[0].Curve))
+	for i, p := range res[0].Curve {
+		lat[i] = p.AvgLatencyClks
+	}
+	return lat
 }
 
 // BenchmarkServeThroughput measures the simulation-as-a-service layer end
@@ -609,11 +611,16 @@ func BenchmarkTaskGraphMakespan(b *testing.B) {
 	o.Topology.Width, o.Topology.Height = 8, 8
 	sc := core.DefaultTaskGraphSweep()
 	points := []core.DesignPoint{{Base: tech.Electronic, Express: tech.HyPPI, Hops: 5}}
+	// Build the network before the timer and run on one worker, so
+	// allocs/op does not depend on cache warmth or GOMAXPROCS.
+	if _, _, err := o.NetworkAndTable(points[0]); err != nil {
+		b.Fatal(err)
+	}
 	var res []core.TaskGraphResult
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = core.TaskGraphSweep(context.Background(), points, gens, sc, o, runner.Config{})
+		res, err = core.TaskGraphSweep(context.Background(), points, gens, sc, o, runner.Config{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,14 +19,17 @@
 // deterministic at -benchtime=1x, so -fail-allocs gates them exactly: any
 // allocs/op increase beyond the given percentage fails, and 0 tolerates
 // none. -json writes the machine-readable comparison (every benchmark ×
-// metric row with its delta) for dashboards and artifact diffing.
+// metric row with its delta) for dashboards and artifact diffing. A gate
+// failure exits 1; a usage or I/O error exits 2.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -139,42 +142,73 @@ type row struct {
 	DeltaPct  float64 `json:"delta_pct"`
 }
 
+// errGate marks a comparison that ran but failed a -threshold or
+// -fail-allocs gate (exit 1); every other error is a usage or I/O error
+// (exit 2).
+var errGate = errors.New("gate failed")
+
+// exitCode maps run's result to the process exit status.
+func exitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, errGate):
+		return 1
+	default:
+		return 2
+	}
+}
+
 func main() {
-	threshold := flag.Float64("threshold", 0,
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hyppi-benchcmp:", err)
+	}
+	os.Exit(exitCode(err))
+}
+
+// run parses args, prints the listing or comparison to stdout and writes
+// the -json file; flag errors and each failing allocs/op row go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("hyppi-benchcmp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	threshold := fs.Float64("threshold", 0,
 		"exit 1 when any benchmark's ns/op regresses by more than this percentage (0 = never fail)")
-	failAllocs := flag.Float64("fail-allocs", -1,
+	failAllocs := fs.Float64("fail-allocs", -1,
 		"exit 1 when any benchmark's allocs/op grows by more than this percentage "+
 			"(0 = fail on any increase, negative = disabled)")
-	jsonPath := flag.String("json", "",
+	jsonPath := fs.String("json", "",
 		"also write the comparison as JSON rows to this file")
-	units := flag.String("units", "",
+	units := fs.String("units", "",
 		"comma-separated unit filter (default: every unit present in both files)")
-	flag.Parse()
-	if flag.NArg() < 1 || flag.NArg() > 2 {
-		fmt.Fprintln(os.Stderr, "usage: hyppi-benchcmp [-threshold pct] old.txt [new.txt]")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	if fs.NArg() < 1 || fs.NArg() > 2 {
+		return errors.New("usage: hyppi-benchcmp [-threshold pct] [-fail-allocs pct] [-json file] old.txt [new.txt]")
 	}
 
-	oldM, oldNames, err := parseFile(flag.Arg(0))
+	oldM, oldNames, err := parseFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hyppi-benchcmp:", err)
-		os.Exit(2)
+		return err
 	}
-	if flag.NArg() == 1 {
+	if fs.NArg() == 1 {
 		for _, name := range oldNames {
 			m := oldM[name]
-			fmt.Printf("%s (%d iters)\n", name, m.iters)
+			fmt.Fprintf(stdout, "%s (%d iters)\n", name, m.iters)
 			for _, u := range m.order {
-				fmt.Printf("    %-16s %s\n", u, human(m.values[u]))
+				fmt.Fprintf(stdout, "    %-16s %s\n", u, human(m.values[u]))
 			}
 		}
-		return
+		return nil
 	}
 
-	newM, newNames, err := parseFile(flag.Arg(1))
+	newM, newNames, err := parseFile(fs.Arg(1))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hyppi-benchcmp:", err)
-		os.Exit(2)
+		return err
 	}
 
 	var filter map[string]bool
@@ -185,8 +219,8 @@ func main() {
 		}
 	}
 
-	fmt.Printf("%-44s %-14s %14s %14s %10s\n", "benchmark", "metric", "old", "new", "delta")
-	fmt.Println(strings.Repeat("-", 100))
+	fmt.Fprintf(stdout, "%-44s %-14s %14s %14s %10s\n", "benchmark", "metric", "old", "new", "delta")
+	fmt.Fprintln(stdout, strings.Repeat("-", 100))
 	var rows []row
 	regressed := false
 	var allocFailures []string
@@ -194,7 +228,7 @@ func main() {
 		om, ok := oldM[name]
 		nm := newM[name]
 		if !ok {
-			fmt.Printf("%-44s %s\n", name, "(new benchmark, no baseline)")
+			fmt.Fprintf(stdout, "%-44s %s\n", name, "(new benchmark, no baseline)")
 			continue
 		}
 		for _, u := range nm.order {
@@ -206,7 +240,7 @@ func main() {
 				continue
 			}
 			nv := nm.values[u]
-			fmt.Printf("%-44s %-14s %14s %14s  %s\n", name, u, human(ov), human(nv), delta(u, ov, nv))
+			fmt.Fprintf(stdout, "%-44s %-14s %14s %14s  %s\n", name, u, human(ov), human(nv), delta(u, ov, nv))
 			pct := 0.0
 			if ov != 0 {
 				pct = (nv - ov) / ov * 100
@@ -229,32 +263,29 @@ func main() {
 	}
 	sort.Strings(dropped)
 	for _, name := range dropped {
-		fmt.Printf("%-44s %s\n", name, "(missing from new run)")
+		fmt.Fprintf(stdout, "%-44s %s\n", name, "(missing from new run)")
 	}
 	if *jsonPath != "" {
 		data, err := json.MarshalIndent(rows, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-benchcmp:", err)
-			os.Exit(2)
+			return err
 		}
 		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-benchcmp:", err)
-			os.Exit(2)
+			return err
 		}
 	}
-	fail := false
+	var fails []string
 	if regressed {
-		fmt.Fprintf(os.Stderr, "hyppi-benchcmp: ns/op regression beyond %.0f%%\n", *threshold)
-		fail = true
+		fails = append(fails, fmt.Sprintf("ns/op regression beyond %.0f%%", *threshold))
 	}
 	for _, f := range allocFailures {
-		fmt.Fprintln(os.Stderr, "hyppi-benchcmp:", f)
-		fail = true
+		fmt.Fprintln(stderr, "hyppi-benchcmp:", f)
 	}
 	if len(allocFailures) > 0 {
-		fmt.Fprintf(os.Stderr, "hyppi-benchcmp: allocs/op regression beyond %.0f%%\n", *failAllocs)
+		fails = append(fails, fmt.Sprintf("allocs/op regression beyond %.0f%%", *failAllocs))
 	}
-	if fail {
-		os.Exit(1)
+	if len(fails) > 0 {
+		return fmt.Errorf("%w: %s", errGate, strings.Join(fails, "; "))
 	}
+	return nil
 }

@@ -434,7 +434,8 @@ func (e env) kernels(spec string, scale float64, iters int) error {
 }
 
 // replay runs a trace file on the selected kind's hop ladder, one
-// concurrent simulation per hop length (see core.ReplayTrace).
+// concurrent simulation per hop length: core.RunTraceExperiments jobs
+// carrying the parsed events.
 func (e env) replay(path string) error {
 	o, hops, err := e.traceKind()
 	if err != nil {
@@ -450,11 +451,11 @@ func (e env) replay(path string) error {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	fmt.Fprintf(e.w, "trace %s: %d messages, %d bytes\n", path, len(events), trace.TotalBytes(events))
-	points := make([]core.DesignPoint, len(hops))
+	jobs := make([]core.TraceJob, len(hops))
 	for i, h := range hops {
-		points[i] = core.DesignPoint{Base: tech.Electronic, Express: e.ex, Hops: h}
+		jobs[i] = core.TraceJob{Events: events, Point: core.DesignPoint{Base: tech.Electronic, Express: e.ex, Hops: h}}
 	}
-	results, err := core.ReplayTrace(context.Background(), events, points, o, noc.DefaultConfig(), e.pool)
+	results, err := core.RunTraceExperiments(context.Background(), jobs, o, noc.DefaultConfig(), e.pool)
 	if err != nil {
 		return err
 	}

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,8 +42,10 @@ func TestUsageListsRegisteredNames(t *testing.T) {
 }
 
 // TestGolden drives every mode in-process on small inputs and pins its
-// stdout byte for byte. The telemetry case's trace path is written as
-// TRACE_OUT in the golden file. Rewrite deliberately with make golden-cli.
+// stdout byte for byte. The telemetry cases' trace path is written as
+// TRACE_OUT in the golden files, and the Chrome trace JSON the telemetry
+// case writes there (~430 kB) is pinned by its SHA-256 and length in
+// telemetry_trace.golden. Rewrite deliberately with make golden-cli.
 func TestGolden(t *testing.T) {
 	traceOut := filepath.Join(t.TempDir(), "trace.json")
 	cases := []struct {
@@ -53,8 +57,10 @@ func TestGolden(t *testing.T) {
 		{"energy", []string{"-pattern", "uniform,tornado", "-energy", "-grid", "4x4"}},
 		{"energy_csv", []string{"-pattern", "uniform,tornado", "-energy", "-grid", "4x4", "-csv"}},
 		{"faults", []string{"-pattern", "uniform", "-faults", "-variant", "baseline", "-grid", "4x4"}},
+		{"faults_csv", []string{"-pattern", "uniform", "-faults", "-variant", "baseline", "-grid", "4x4", "-csv"}},
 		{"taskgraph", []string{"-taskgraph", "all", "-topology", "all", "-csv", "-grid", "4x4"}},
 		{"telemetry", []string{"-pattern", "uniform", "-trace-out", traceOut, "-grid", "4x4"}},
+		{"telemetry_csv", []string{"-pattern", "uniform", "-trace-out", traceOut, "-grid", "4x4", "-csv"}},
 		{"kernel", []string{"-kernel", "LU", "-scale", "0.004", "-iterations", "1"}},
 		{"trace", []string{"-trace", "../hyppi-trace/testdata/cg.trace"}},
 	}
@@ -67,9 +73,12 @@ func TestGolden(t *testing.T) {
 			got := bytes.ReplaceAll(stdout.Bytes(), []byte(traceOut), []byte("TRACE_OUT"))
 			golden.Check(t, filepath.Join("testdata", c.name+".golden"), got, *update)
 			if c.name == "telemetry" {
-				if data, err := os.ReadFile(traceOut); err != nil || !json.Valid(data) {
-					t.Errorf("-trace-out did not write valid JSON: %v", err)
+				data, err := os.ReadFile(traceOut)
+				if err != nil || !json.Valid(data) {
+					t.Fatalf("-trace-out did not write valid JSON: %v", err)
 				}
+				digest := fmt.Sprintf("sha256 %x bytes %d\n", sha256.Sum256(data), len(data))
+				golden.Check(t, filepath.Join("testdata", "telemetry_trace.golden"), []byte(digest), *update)
 			}
 		})
 	}

@@ -14,8 +14,8 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
 	"repro/internal/noc"
-	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/tech"
@@ -24,31 +24,26 @@ import (
 )
 
 func main() {
-	rates := []float64{0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5}
-	w := noc.BernoulliWorkload{SizeFlits: 1, Cycles: 5000, Seed: 13}
-	cfg := noc.DefaultConfig()
-	cfg.MaxCycles = 200000
-
-	// Both curves, and every rate within a curve, are independent
-	// simulations: run the two topologies through the worker pool, and
-	// let LoadLatencyCurveContext fan the rates out on its own pool.
-	curves, err := runner.Map(context.Background(), 2, runner.Config{},
-		func(ctx context.Context, i int) ([]noc.LoadPoint, error) {
-			hops := []int{0, 3}[i]
-			c := topology.DefaultConfig()
-			c.Width, c.Height = 8, 8
-			c.ExpressTech = tech.HyPPI
-			c.ExpressHops = hops
-			net := topology.MustBuild(c)
-			tab := routing.MustBuild(net, routing.MonotoneExpress)
-			base := traffic.Uniform(net, 0.1)
-			return noc.LoadLatencyCurveContext(ctx, net, tab, base, rates, w, cfg,
-				runner.Config{}, noc.NewSimPool())
-		})
+	o := core.DefaultOptions()
+	o.Topology.Width, o.Topology.Height = 8, 8
+	sc := core.DefaultEnergySweep() // 1-flit packets over 5000 cycles
+	sc.Rates = []float64{0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5}
+	uniform, err := traffic.ParsePatterns("uniform")
 	if err != nil {
 		log.Fatal(err)
 	}
-	mesh, express := curves[0], curves[1]
+	points := []core.DesignPoint{
+		{Base: tech.Electronic, Express: tech.Electronic},
+		{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3},
+	}
+
+	// Both curves are independent cells of one sweep on the worker pool.
+	curves, err := core.PatternSweep(context.Background(), []topology.Kind{topology.Mesh},
+		points, uniform, sc, o, runner.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	mesh, express := curves[0].Curve, curves[1].Curve
 
 	tbl := stats.NewTable("rate", "mesh avg", "mesh p99", "express avg", "express p99")
 	cell := func(p noc.LoadPoint, q bool) string {
@@ -60,7 +55,7 @@ func main() {
 		}
 		return fmt.Sprintf("%.1f", p.AvgLatencyClks)
 	}
-	for i, r := range rates {
+	for i, r := range sc.Rates {
 		tbl.AddRow(fmt.Sprintf("%.2f", r),
 			cell(mesh[i], false), cell(mesh[i], true),
 			cell(express[i], false), cell(express[i], true))

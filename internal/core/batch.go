@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/energy"
@@ -145,7 +144,8 @@ func evalOneCell(c EvalCell, env *evalEnv, sc EnergySweepConfig, sims *noc.SimPo
 	if env.err != nil {
 		return fail(env.err)
 	}
-	var pkts []noc.Packet
+	var st noc.Stats
+	var sat bool
 	switch {
 	case c.Pattern != nil && c.Trace != nil:
 		return fail(fmt.Errorf("cell has both a pattern and a trace"))
@@ -157,35 +157,34 @@ func evalOneCell(c EvalCell, env *evalEnv, sc EnergySweepConfig, sims *noc.SimPo
 		if err != nil {
 			return fail(err)
 		}
-		if pkts, err = sc.Workload.Generate(env.net, base.ScaledToMaxRate(c.Rate)); err != nil {
+		if st, sat, err = env.openLoop(sims, base, c.Rate, sc.Workload, sc.NoC, nil); err != nil {
 			return fail(err)
 		}
 	case c.Trace != nil:
-		var err error
-		if pkts, err = tracePackets(*c.Trace, env.net.NumNodes()); err != nil {
+		pkts, err := TraceJob{Kernel: *c.Trace}.packets(env.net.NumNodes())
+		if err != nil {
+			return fail(err)
+		}
+		st, err = simulate(sims, env.net, env.tab, sc.NoC, workload{pkts: pkts})
+		if sat, err = saturation(err); err != nil {
 			return fail(err)
 		}
 	default:
 		return fail(fmt.Errorf("cell has neither a pattern nor a trace"))
 	}
 
-	st, err := simulate(sims, env.net, env.tab, sc.NoC, workload{pkts: pkts})
+	// Failure to drain is the saturation signal, exactly as in
+	// EnergySweep: the cell answers "saturated" with its aborted horizon's
+	// latency and no pricing; it does not fail.
 	res := EvalCellResult{
+		Saturated:      sat,
 		AvgLatencyClks: st.AvgPacketLatencyClks,
 		P99LatencyClks: st.P99PacketLatencyClks,
 		Cycles:         st.Cycles,
 		Packets:        st.PacketsEjected,
 	}
-	if err != nil {
-		if !errors.Is(err, noc.ErrSaturated) {
-			return fail(err)
-		}
-		// Failure to drain is the saturation signal, exactly as in
-		// EnergySweep: the cell answers "saturated", it does not fail.
-		res.Saturated = true
-		return res
-	}
-	if c.Energy {
+	if c.Energy && !sat {
+		var err error
 		if res.Run, res.CLEAR, err = env.price(st, c.Rate); err != nil {
 			return fail(err)
 		}

@@ -6,8 +6,8 @@
 //	LinkSweep           — Fig. 3  (link-level CLEAR vs length)
 //	Explore             — Fig. 5, Tables III & IV (hybrid design space)
 //	ExploreKinds        — the same analytic evaluation across topology kinds
-//	RunTraceExperiment  — Fig. 6, Table V (cycle-accurate NPB traces)
-//	ReplayTrace         — the same pipeline over an already-parsed trace
+//	RunTraceExperiments — Fig. 6, Table V (cycle-accurate NPB traces, or
+//	                      an already-parsed trace file)
 //	AllOpticalRadar     — Fig. 8, Table VI (fully optical projections)
 //	PatternSweep        — synthetic-pattern load-latency curves and knees
 //	EnergySweep         — measured latency–energy ladders, Pareto fronts
@@ -119,15 +119,6 @@ func DefaultOptions() Options {
 		Traffic:            traffic.DefaultSoteriou(),
 		Policy:             routing.MonotoneExpress,
 	}
-}
-
-// BuildNetwork instantiates a design point's topology.
-func (o Options) BuildNetwork(p DesignPoint) (*topology.Network, error) {
-	c := o.Topology
-	c.BaseTech = p.Base
-	c.ExpressTech = p.Express
-	c.ExpressHops = p.Hops
-	return topology.Build(c)
 }
 
 // ExplorationResult pairs a design point with its analytic evaluation.
@@ -247,35 +238,45 @@ type TraceResult struct {
 // with the cycle-accurate simulator, then prices the run with the
 // modified-DSENT models.
 func RunTraceExperiment(kernel npb.Config, point DesignPoint, o Options, nocCfg noc.Config) (TraceResult, error) {
-	return runTraceExperiment(kernel, point, o, nocCfg, nil)
+	return o.traceJob(TraceJob{Kernel: kernel, Point: point}, nocCfg, nil)
 }
 
-// runTraceExperiment is RunTraceExperiment with simulator reuse: the Sim is
-// drawn from (and returned to) sims when non-nil. The kernel's trace is
-// generated inside the job, so a batch generates its traces in parallel.
-func runTraceExperiment(kernel npb.Config, point DesignPoint, o Options, nocCfg noc.Config,
-	sims *noc.SimPool) (TraceResult, error) {
-	events, err := npb.Generate(kernel)
+// TraceJob names one trace experiment of a batch: an NPB kernel
+// configuration, or an already-parsed trace, simulated on one design
+// point.
+type TraceJob struct {
+	Kernel npb.Config
+	Point  DesignPoint
+	// Events, when non-nil, is replayed in place of Kernel's generated
+	// trace (a file written by hyppi-trace, say); Kernel then only labels
+	// the result. Events are only read.
+	Events []trace.Event
+}
+
+// packets generates (or takes) the job's trace and packetizes it for a
+// network of n nodes.
+func (j TraceJob) packets(n int) ([]noc.Packet, error) {
+	events := j.Events
+	if events == nil {
+		var err error
+		if events, err = npb.Generate(j.Kernel); err != nil {
+			return nil, err
+		}
+	}
+	return trace.Packetize(events, n, trace.DefaultPacketize())
+}
+
+// traceJob is the one trace job body: packetize the job's trace for its
+// design point's (cached) network, simulate it on a Sim drawn from sims
+// (nil builds a fresh one) and price the run with the modified-DSENT
+// models. A kernel's trace is generated inside the job, so a batch
+// generates its traces in parallel.
+func (o Options) traceJob(job TraceJob, nocCfg noc.Config, sims *noc.SimPool) (TraceResult, error) {
+	f, err := o.resolve(job.Point, false)
 	if err != nil {
 		return TraceResult{}, err
 	}
-	res, err := replayTrace(events, point, o, nocCfg, sims)
-	res.Kernel = kernel.Kernel
-	return res, err
-}
-
-// replayTrace packetizes already-parsed trace events for one design
-// point's network, simulates them on a Sim drawn from sims (nil builds a
-// fresh one) and prices the run with the modified-DSENT models. The
-// topology and routing table come from the process-wide network cache;
-// events are only read.
-func replayTrace(events []trace.Event, point DesignPoint, o Options, nocCfg noc.Config,
-	sims *noc.SimPool) (TraceResult, error) {
-	f, err := o.resolve(point, false)
-	if err != nil {
-		return TraceResult{}, err
-	}
-	packets, err := trace.Packetize(events, f.net.NumNodes(), trace.DefaultPacketize())
+	packets, err := job.packets(f.net.NumNodes())
 	if err != nil {
 		return TraceResult{}, err
 	}
@@ -288,7 +289,8 @@ func replayTrace(events []trace.Event, point DesignPoint, o Options, nocCfg noc.
 		return TraceResult{}, err
 	}
 	return TraceResult{
-		Point:          point,
+		Kernel:         job.Kernel.Kernel,
+		Point:          job.Point,
 		AvgLatencyClks: stats.AvgPacketLatencyClks,
 		DynamicEnergyJ: dynamic,
 		StaticPowerW:   static,
@@ -296,44 +298,24 @@ func replayTrace(events []trace.Event, point DesignPoint, o Options, nocCfg noc.
 	}, nil
 }
 
-// TraceJob names one trace experiment of a batch: an NPB kernel
-// configuration simulated on one design point.
-type TraceJob struct {
-	Kernel npb.Config
-	Point  DesignPoint
-}
-
 // RunTraceExperiments executes a batch of independent trace simulations on
 // a bounded worker pool, returning results in job order. Each job is a full
-// RunTraceExperiment — trace generation, packetization, cycle-accurate
-// simulation and DSENT pricing — so per-job results are bit-identical to
-// running the jobs serially. Simulators are recycled across the batch
-// through one noc.SimPool (jobs sharing a design point share simulators),
-// bounding simulator construction at one per live worker per point. The
-// first failure cancels the remaining jobs.
+// RunTraceExperiment — trace generation (unless the job carries Events),
+// packetization, cycle-accurate simulation and DSENT pricing — so per-job
+// results are bit-identical to running the jobs serially. Simulators are
+// recycled across the batch through one noc.SimPool (jobs sharing a design
+// point share simulators), bounding simulator construction at one per live
+// worker per point. The first failure cancels the remaining jobs.
 func RunTraceExperiments(ctx context.Context, jobs []TraceJob, o Options, nocCfg noc.Config, cfg runner.Config) ([]TraceResult, error) {
 	sims := noc.NewSimPool()
 	return runner.Map(ctx, len(jobs), cfg, func(_ context.Context, i int) (TraceResult, error) {
-		res, err := runTraceExperiment(jobs[i].Kernel, jobs[i].Point, o, nocCfg, sims)
+		res, err := o.traceJob(jobs[i], nocCfg, sims)
 		if err != nil {
-			return TraceResult{}, fmt.Errorf("core: %v on %v: %w", jobs[i].Kernel.Kernel, jobs[i].Point, err)
-		}
-		return res, nil
-	})
-}
-
-// ReplayTrace replays one already-parsed trace (a file written by
-// hyppi-trace, say) on each design point as a batch on the worker pool,
-// returning results in point order with a zero Kernel. Each point is
-// packetized, simulated and priced exactly as a RunTraceExperiments job,
-// sharing one simulator pool across the batch.
-func ReplayTrace(ctx context.Context, events []trace.Event, points []DesignPoint, o Options,
-	nocCfg noc.Config, cfg runner.Config) ([]TraceResult, error) {
-	sims := noc.NewSimPool()
-	return runner.Map(ctx, len(points), cfg, func(_ context.Context, i int) (TraceResult, error) {
-		res, err := replayTrace(events, points[i], o, nocCfg, sims)
-		if err != nil {
-			return TraceResult{}, fmt.Errorf("core: trace on %v: %w", points[i], err)
+			name := jobs[i].Kernel.Kernel.String()
+			if jobs[i].Events != nil {
+				name = "trace"
+			}
+			return TraceResult{}, fmt.Errorf("core: %s on %v: %w", name, jobs[i].Point, err)
 		}
 		return res, nil
 	})

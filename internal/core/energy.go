@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/energy"
@@ -102,38 +101,7 @@ type EnergySweepResult struct {
 // (Hops = 0) points for kind-portable sweeps, exactly as with ExploreKinds.
 func EnergySweep(ctx context.Context, kinds []topology.Kind, points []DesignPoint,
 	patterns []traffic.Pattern, sc EnergySweepConfig, o Options, pool runner.Config) ([]EnergySweepResult, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if len(kinds) == 0 || len(points) == 0 || len(patterns) == 0 {
-		return nil, fmt.Errorf("core: energy sweep needs kinds, points and patterns")
-	}
-	fabs, err := resolveFabrics(kinds, points, o, true)
-	if err != nil {
-		return nil, err
-	}
-	results, err := sweepPatterns(ctx, fabs, patterns, pool,
-		func(ctx context.Context, _ int, f fabric, pat traffic.Pattern, base *traffic.Matrix, sims *noc.SimPool) (EnergySweepResult, error) {
-			res := EnergySweepResult{
-				Kind:    f.kind,
-				Point:   f.point,
-				Pattern: pat.Name(),
-				StaticW: f.model.StaticW(),
-				AreaM2:  f.model.AreaM2(),
-				Points:  make([]EnergyPoint, 0, len(sc.Rates)),
-			}
-			for _, rate := range sc.Rates {
-				if err := ctx.Err(); err != nil {
-					return EnergySweepResult{}, err
-				}
-				ep, err := energyPoint(f, base, rate, sc, sims)
-				if err != nil {
-					return EnergySweepResult{}, fmt.Errorf("rate %v: %w", rate, err)
-				}
-				res.Points = append(res.Points, ep)
-			}
-			return res, nil
-		})
+	results, err := ladderSweep(ctx, kinds, points, patterns, sc, o, pool, true)
 	if err != nil {
 		return nil, err
 	}
@@ -141,28 +109,32 @@ func EnergySweep(ctx context.Context, kinds []topology.Kind, points []DesignPoin
 	return results, nil
 }
 
-// energyPoint runs one offered-load sample and prices it. A run that fails
-// to drain is flagged Saturated rather than failing the sweep.
-func energyPoint(f fabric, base *traffic.Matrix, rate float64, sc EnergySweepConfig, sims *noc.SimPool) (EnergyPoint, error) {
-	pkts, err := sc.Workload.Generate(f.net, base.ScaledToMaxRate(rate))
+// ladderSweep walks the rate ladder on every (kind, point, pattern) cell,
+// kind-major, point-middle, pattern-minor; priced folds an energy model
+// into every fabric, so each drained sample is priced and the cell carries
+// its network-level constants.
+func ladderSweep(ctx context.Context, kinds []topology.Kind, points []DesignPoint,
+	patterns []traffic.Pattern, sc EnergySweepConfig, o Options, pool runner.Config, priced bool) ([]EnergySweepResult, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	if len(kinds) == 0 || len(points) == 0 || len(patterns) == 0 {
+		return nil, fmt.Errorf("core: load sweep needs kinds, points and patterns")
+	}
+	fabs, err := resolveFabrics(kinds, points, o, priced)
 	if err != nil {
-		return EnergyPoint{}, err
+		return nil, err
 	}
-	st, err := simulate(sims, f.net, f.tab, sc.NoC, workload{pkts: pkts})
-	ep := EnergyPoint{Rate: rate}
-	if err != nil {
-		if !errors.Is(err, noc.ErrSaturated) {
-			return EnergyPoint{}, err
-		}
-		ep.Saturated = true
-		return ep, nil
-	}
-	ep.AvgLatencyClks = st.AvgPacketLatencyClks
-	ep.P99LatencyClks = st.P99PacketLatencyClks
-	if ep.Run, ep.CLEAR, err = f.price(st, rate); err != nil {
-		return EnergyPoint{}, err
-	}
-	return ep, nil
+	return sweepPatterns(ctx, fabs, patterns, pool,
+		func(ctx context.Context, _ int, f fabric, pat traffic.Pattern, base *traffic.Matrix, sims *noc.SimPool) (EnergySweepResult, error) {
+			res := EnergySweepResult{Kind: f.kind, Point: f.point, Pattern: pat.Name()}
+			if f.model != nil {
+				res.StaticW, res.AreaM2 = f.model.StaticW(), f.model.AreaM2()
+			}
+			var err error
+			res.Points, err = f.ladder(ctx, sims, base, sc)
+			return res, err
+		})
 }
 
 // markParetoFrontiers marks, for every (kind, pattern) scenario, the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/dsent"
@@ -315,23 +314,24 @@ func faultPoint(f fabric, tm *traffic.Matrix, rate float64, rateSeed int64, tc f
 		overheadW := th.TrimmingOverheadW()
 		fp.TrimOverheadW += overheadW
 
-		st, runErr := simulate(sims, view.Net, view.Tab, sc.NoC, workload{pkts: pkts,
+		st, err := simulate(sims, view.Net, view.Tab, sc.NoC, workload{pkts: pkts,
 			faults: noc.FaultProfile{
 				LinkFlitErrorProb: probs,
 				Seed:              runner.Seed(rateSeed, 2*e+1),
 				RetryLimit:        sc.RetryLimit,
 			}})
-		if runErr != nil {
-			if !errors.Is(runErr, noc.ErrSaturated) {
-				return FaultPoint{}, runErr
-			}
+		sat, err := saturation(err)
+		if err != nil {
+			return FaultPoint{}, err
+		}
+		if sat {
 			fp.SaturatedEpochs++
 		}
 		fp.PacketsDelivered += st.PacketsEjected
 		fp.PacketsDropped += st.PacketsDropped
 		fp.Retransmits += st.Activity.TotalRetransmits()
 		latWeighted += st.AvgPacketLatencyClks * float64(st.PacketsEjected)
-		if runErr == nil && st.Cycles > 0 {
+		if !sat && st.Cycles > 0 {
 			re, err := model.PriceWithStaticOverhead(st, overheadW)
 			if err != nil {
 				return FaultPoint{}, err

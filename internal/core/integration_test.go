@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/noc"
-	"repro/internal/routing"
 	"repro/internal/tech"
 	"repro/internal/traffic"
 	"repro/internal/units"
@@ -32,11 +31,10 @@ func TestAnalyticMatchesSimulatorAtLowLoad(t *testing.T) {
 		points = points[:2]
 	}
 	for _, point := range points {
-		net, err := o.BuildNetwork(point)
+		net, tab, err := o.NetworkAndTable(point)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab := routing.MustBuild(net, o.Policy)
 		tm := traffic.MustSoteriou(net, o.Traffic)
 
 		ana, err := analytic.Evaluate(net, tab, tm, analytic.Params{
@@ -85,11 +83,10 @@ func TestAnalyticMatchesSimulatorAtLowLoad(t *testing.T) {
 func TestSimulatorEnergyMatchesAnalyticLoads(t *testing.T) {
 	o := DefaultOptions()
 	point := DesignPoint{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3}
-	net, err := o.BuildNetwork(point)
+	net, tab, err := o.NetworkAndTable(point)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := routing.MustBuild(net, o.Policy)
 	tm := traffic.MustSoteriou(net, o.Traffic)
 
 	ana, err := analytic.Evaluate(net, tab, tm, analytic.Params{

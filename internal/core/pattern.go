@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/noc"
 	"repro/internal/runner"
@@ -14,8 +13,8 @@ import (
 // a sweep: the full load-latency curve plus the detected saturation
 // throughput, the ExplorationResult-style row of the saturation dataset.
 type PatternSweepResult struct {
-	// Kind is the topology family the cell ran on (canonical; "mesh"
-	// for sweeps predating the registry).
+	// Kind is the topology family the cell ran on (canonical: Build
+	// resolved it).
 	Kind    topology.Kind
 	Point   DesignPoint
 	Pattern string
@@ -45,35 +44,29 @@ func (r PatternSweepResult) ZeroLoadLatencyClks() float64 {
 
 // PatternSweep runs the topology-kind × design-point × pattern saturation
 // matrix: every (kind, point, pattern) cell walks the rate ladder serially
-// with the cycle-accurate simulator (noc.LoadLatencyCurveContext — the
-// pool already fans out across cells) and locates the curve's latency
-// knee with noc.DetectSaturation. Results come back kind-major,
-// point-middle, pattern-minor and are bit-identical for any worker count;
-// the first failure cancels the batch.
+// with the cycle-accurate simulator — EnergySweep's ladder, unpriced — and
+// locates the curve's latency knee with noc.DetectSaturation. Results come
+// back kind-major, point-middle, pattern-minor and are bit-identical for
+// any worker count; the first failure cancels the batch.
 //
 // Non-mesh kinds reject express design points at Build time; pass plain
 // (Hops = 0) points for kind-portable sweeps, exactly as with ExploreKinds.
 func PatternSweep(ctx context.Context, kinds []topology.Kind, points []DesignPoint, patterns []traffic.Pattern,
 	sc EnergySweepConfig, o Options, pool runner.Config) ([]PatternSweepResult, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if len(kinds) == 0 || len(points) == 0 || len(patterns) == 0 {
-		return nil, fmt.Errorf("core: pattern sweep needs kinds, points and patterns")
-	}
-	fabs, err := resolveFabrics(kinds, points, o, false)
+	cells, err := ladderSweep(ctx, kinds, points, patterns, sc, o, pool, false)
 	if err != nil {
 		return nil, err
 	}
-	return sweepPatterns(ctx, fabs, patterns, pool,
-		func(ctx context.Context, _ int, f fabric, pat traffic.Pattern, base *traffic.Matrix, sims *noc.SimPool) (PatternSweepResult, error) {
-			curve, err := noc.LoadLatencyCurveContext(ctx, f.net, f.tab, base, sc.Rates, sc.Workload, sc.NoC,
-				runner.Config{Workers: 1}, sims)
-			if err != nil {
-				return PatternSweepResult{}, err
-			}
-			r := PatternSweepResult{Kind: f.kind, Point: f.point, Pattern: pat.Name(), Curve: curve}
-			r.SaturationRate, r.AtFloor, r.Saturates = noc.DetectSaturation(curve)
-			return r, nil
-		})
+	results := make([]PatternSweepResult, len(cells))
+	for i, c := range cells {
+		r := PatternSweepResult{Kind: c.Kind, Point: c.Point, Pattern: c.Pattern,
+			Curve: make([]noc.LoadPoint, len(c.Points))}
+		for j, p := range c.Points {
+			r.Curve[j] = noc.LoadPoint{InjectionRate: p.Rate, AvgLatencyClks: p.AvgLatencyClks,
+				P99LatencyClks: p.P99LatencyClks, Saturated: p.Saturated}
+		}
+		r.SaturationRate, r.AtFloor, r.Saturates = noc.DetectSaturation(r.Curve)
+		results[i] = r
+	}
+	return results, nil
 }

@@ -157,3 +157,124 @@ func TestPatternSweepExpressHelps(t *testing.T) {
 		t.Errorf("hybrid saturates at %v before mesh at %v under tornado", hybridSat, meshSat)
 	}
 }
+
+// curveFixture is one uniform-traffic pattern sweep on the plain 8×8 mesh
+// (the express hybrid with withExpress), returning its single curve.
+func curveFixture(t *testing.T, withExpress bool, rates []float64, w noc.BernoulliWorkload, cfg noc.Config) PatternSweepResult {
+	t.Helper()
+	pats, err := traffic.ParsePatterns("uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	point := DesignPoint{Base: tech.Electronic, Express: tech.Electronic}
+	if withExpress {
+		point = DesignPoint{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3}
+	}
+	o := DefaultOptions()
+	o.Topology.Width, o.Topology.Height = 8, 8
+	sc := EnergySweepConfig{Rates: rates, Workload: w, NoC: cfg}
+	results, err := PatternSweep(context.Background(), meshOnly, []DesignPoint{point}, pats, sc, o, runner.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results[0]
+}
+
+// TestPatternSweepCurveShape: latency grows monotonically-ish with offered
+// load and explodes near saturation — the textbook curve.
+func TestPatternSweepCurveShape(t *testing.T) {
+	w := noc.BernoulliWorkload{SizeFlits: 1, Cycles: 4000, Seed: 7}
+	if testing.Short() {
+		w.Cycles = 800
+	}
+	rates := []float64{0.02, 0.2, 0.45}
+	pts := curveFixture(t, false, rates, w, noc.DefaultConfig()).Curve
+	if len(pts) != len(rates) {
+		t.Fatalf("%d points", len(pts))
+	}
+	for i, p := range pts {
+		if p.Saturated {
+			t.Fatalf("point %v unexpectedly saturated", p.InjectionRate)
+		}
+		if i > 0 && p.AvgLatencyClks < pts[i-1].AvgLatencyClks*0.95 {
+			t.Errorf("latency decreased with load: %v -> %v", pts[i-1], p)
+		}
+		if p.P99LatencyClks < p.AvgLatencyClks {
+			t.Errorf("P99 %v below mean %v", p.P99LatencyClks, p.AvgLatencyClks)
+		}
+	}
+	if pts[2].AvgLatencyClks < 1.2*pts[0].AvgLatencyClks {
+		t.Errorf("high load latency %v should clearly exceed low load %v",
+			pts[2].AvgLatencyClks, pts[0].AvgLatencyClks)
+	}
+}
+
+// TestPatternSweepSaturationFlagged: an absurd offered load is flagged,
+// not fatal, and the knee lands at the sweep floor.
+func TestPatternSweepSaturationFlagged(t *testing.T) {
+	w := noc.BernoulliWorkload{SizeFlits: 1, Cycles: 4000, Seed: 7}
+	cfg := noc.DefaultConfig()
+	cfg.MaxCycles = 6000 // tight cap: overload cannot drain in time
+	if testing.Short() {
+		w.Cycles, cfg.MaxCycles = 800, 1200
+	}
+	r := curveFixture(t, false, []float64{0.95}, w, cfg)
+	if !r.Curve[0].Saturated {
+		t.Error("overload point should be flagged saturated")
+	}
+	if !r.Saturates || !r.AtFloor || r.SaturationRate != 0.95 {
+		t.Errorf("knee (%v, atFloor %v, saturates %v), want 0.95 at the floor",
+			r.SaturationRate, r.AtFloor, r.Saturates)
+	}
+}
+
+// TestPatternSweepPooledMatchesFresh: simulator reuse must not change a
+// single bit of a sweep — the pooled ladder, whose every rate after the
+// first runs on the recycled simulator, equals samples simulated on fresh
+// simulators, across repeated sweeps.
+func TestPatternSweepPooledMatchesFresh(t *testing.T) {
+	w := noc.BernoulliWorkload{SizeFlits: 1, Cycles: 600, Seed: 5}
+	cfg := noc.DefaultConfig()
+	cfg.MaxCycles = 50000
+	rates := []float64{0.05, 0.15, 0.3}
+
+	o := DefaultOptions()
+	o.Topology.Width, o.Topology.Height = 8, 8
+	net, tab, err := o.NetworkAndTable(DesignPoint{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform, err := traffic.Lookup("uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := uniform.Generate(net, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := make([]noc.LoadPoint, len(rates))
+	for i, rate := range rates {
+		pkts, err := w.Generate(net, base.ScaledToMaxRate(rate))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := noc.New(net, tab, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.InjectAll(pkts); err != nil {
+			t.Fatal(err)
+		}
+		st, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = noc.LoadPoint{InjectionRate: rate, AvgLatencyClks: st.AvgPacketLatencyClks,
+			P99LatencyClks: st.P99PacketLatencyClks}
+	}
+	for round := 0; round < 2; round++ {
+		if got := curveFixture(t, true, rates, w, cfg).Curve; !reflect.DeepEqual(fresh, got) {
+			t.Errorf("round %d: pooled curve diverges:\nfresh:  %+v\npooled: %+v", round, fresh, got)
+		}
+	}
+}

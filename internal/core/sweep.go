@@ -2,16 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/dsent"
 	"repro/internal/energy"
 	"repro/internal/noc"
-	"repro/internal/npb"
 	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -19,7 +18,9 @@ import (
 // axis builder over two pieces: resolveFabrics turns the (kind, geometry,
 // design point) axes into shared read-only fabrics, and simulate runs one
 // workload on a pooled simulator for a fabric. sweepCells walks the
-// fabric × workload matrix on the worker pool between them.
+// fabric × workload matrix on the worker pool between them. Each sample
+// kind has one body over simulate: openLoop (Bernoulli arrivals at one
+// offered rate, walked by ladder) and Options.traceJob (core.go).
 
 // fabric is one resolved (kind, geometry, design point) environment: the
 // built network, its routing table and, when the sweep prices energy, the
@@ -167,14 +168,54 @@ func patternBase(f fabric, pat traffic.Pattern) (*traffic.Matrix, error) {
 	return base, base.Validate()
 }
 
-// tracePackets generates an NPB kernel trace and packetizes it for a
-// network of n nodes.
-func tracePackets(kernel npb.Config, n int) ([]noc.Packet, error) {
-	events, err := npb.Generate(kernel)
-	if err != nil {
-		return nil, err
+// saturation folds a run's noc.ErrSaturated into a flag: a run that fails
+// to drain within the cycle cap keeps the Stats of its aborted horizon and
+// reports saturated rather than an error.
+func saturation(err error) (saturated bool, _ error) {
+	if errors.Is(err, noc.ErrSaturated) {
+		return true, nil
 	}
-	return trace.Packetize(events, n, trace.DefaultPacketize())
+	return false, err
+}
+
+// openLoop is the one open-loop sample: Bernoulli arrivals drawn from the
+// fabric's unit-rate base matrix scaled to one offered rate, simulated with
+// obs attached (nil for none), saturation folded into a flag.
+func (f fabric) openLoop(sims *noc.SimPool, base *traffic.Matrix, rate float64, w noc.BernoulliWorkload,
+	cfg noc.Config, obs noc.Observer) (noc.Stats, bool, error) {
+	pkts, err := w.Generate(f.net, base.ScaledToMaxRate(rate))
+	if err != nil {
+		return noc.Stats{}, false, err
+	}
+	st, err := simulate(sims, f.net, f.tab, cfg, workload{pkts: pkts, obs: obs})
+	sat, err := saturation(err)
+	return st, sat, err
+}
+
+// ladder walks the rate ladder serially on one (fabric, pattern) cell — the
+// pool already fans out across cells — and summarizes each drained sample,
+// pricing it when the fabric carries an energy model. Saturated samples
+// carry no latency or energy.
+func (f fabric) ladder(ctx context.Context, sims *noc.SimPool, base *traffic.Matrix, sc EnergySweepConfig) ([]EnergyPoint, error) {
+	pts := make([]EnergyPoint, 0, len(sc.Rates))
+	for _, rate := range sc.Rates {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		st, sat, err := f.openLoop(sims, base, rate, sc.Workload, sc.NoC, nil)
+		ep := EnergyPoint{Rate: rate, Saturated: sat}
+		if err == nil && !sat {
+			ep.AvgLatencyClks, ep.P99LatencyClks = st.AvgPacketLatencyClks, st.P99PacketLatencyClks
+			if f.model != nil {
+				ep.Run, ep.CLEAR, err = f.price(st, rate)
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("rate %v: %w", rate, err)
+		}
+		pts = append(pts, ep)
+	}
+	return pts, nil
 }
 
 // price prices a drained run with the fabric's energy model and evaluates

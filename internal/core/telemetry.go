@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/noc"
@@ -106,29 +105,19 @@ func TelemetrySweep(ctx context.Context, points []DesignPoint, patterns []traffi
 	}
 	return sweepPatterns(ctx, fabs, patterns, pool,
 		func(_ context.Context, i int, f fabric, pat traffic.Pattern, base *traffic.Matrix, sims *noc.SimPool) (TelemetryResult, error) {
-			pkts, err := sc.Workload.Generate(f.net, base.ScaledToMaxRate(sc.Rate))
-			if err != nil {
-				return TelemetryResult{}, err
-			}
 			tcfg := sc.Telemetry
 			tcfg.Seed = runner.Seed(sc.Telemetry.Seed, i)
 			col, err := telemetry.New(tcfg, f.net)
 			if err != nil {
 				return TelemetryResult{}, err
 			}
-			st, err := simulate(sims, f.net, f.tab, sc.NoC, workload{pkts: pkts, obs: col})
-			res := TelemetryResult{Kind: f.kind, Point: f.point, Pattern: pat.Name(), Rate: sc.Rate}
+			st, sat, err := f.openLoop(sims, base, sc.Rate, sc.Workload, sc.NoC, col)
 			if err != nil {
-				if !errors.Is(err, noc.ErrSaturated) {
-					return TelemetryResult{}, err
-				}
-				res.Saturated = true
+				return TelemetryResult{}, err
 			}
 			col.Finish(st.Cycles)
-			res.Stats = st
-			res.Trace = col.Trace()
-			res.Probes = col.Probes()
-			return res, nil
+			return TelemetryResult{Kind: f.kind, Point: f.point, Pattern: pat.Name(), Rate: sc.Rate,
+				Saturated: sat, Stats: st, Trace: col.Trace(), Probes: col.Probes()}, nil
 		})
 }
 

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -293,38 +292,6 @@ func TestSimPoolReusesInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	nilPool.Put(d) // must not panic
-}
-
-// TestLoadLatencyCurvePooledMatchesUnpooled: simulator reuse must not
-// change a single bit of a sweep — pooled and pool-less curves are equal.
-func TestLoadLatencyCurvePooledMatchesUnpooled(t *testing.T) {
-	net, tab := smallMesh(t, 8, 8, 3)
-	tm := traffic.Uniform(net, 0.1)
-	w := BernoulliWorkload{SizeFlits: 1, Cycles: 600, Seed: 5}
-	cfg := DefaultConfig()
-	cfg.MaxCycles = 50000
-	rates := []float64{0.05, 0.15, 0.3}
-	run := func(sims *SimPool, workers int) []LoadPoint {
-		pts, err := LoadLatencyCurveContext(t.Context(), net, tab, tm, rates, w, cfg,
-			runner.Config{Workers: workers}, sims)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts
-	}
-	base := run(nil, 1)
-	for _, workers := range []int{1, 3} {
-		if got := run(NewSimPool(), workers); !reflect.DeepEqual(base, got) {
-			t.Errorf("workers=%d: pooled curve diverges:\nbase:   %+v\npooled: %+v", workers, base, got)
-		}
-	}
-	// One pool serving repeated sweeps (the PatternSweep shape).
-	shared := NewSimPool()
-	for round := 0; round < 3; round++ {
-		if got := run(shared, 2); !reflect.DeepEqual(base, got) {
-			t.Errorf("round %d: shared-pool curve diverges", round)
-		}
-	}
 }
 
 // TestHeapOrdersReleases: the release heap pops sources in (release, node)

@@ -1,13 +1,9 @@
 package noc
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
-	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -107,64 +103,6 @@ type LoadPoint struct {
 	// Saturated marks points that failed to drain within the cycle cap
 	// (offered load beyond network capacity).
 	Saturated bool
-}
-
-// LoadLatencyCurve sweeps the offered injection rate over `rates`, running
-// a Bernoulli workload per point, and returns the classic load-latency
-// curve used to locate network saturation. Points that fail to drain within
-// the configured MaxCycles are flagged Saturated rather than failing the
-// sweep. It is a thin wrapper over LoadLatencyCurveContext with a
-// default-sized worker pool and a private Sim reuse pool; each rate is an
-// independent deterministic simulation, so the curve is bit-identical to
-// the historical serial sweep.
-func LoadLatencyCurve(net *topology.Network, tab *routing.Table, base *traffic.Matrix,
-	rates []float64, w BernoulliWorkload, cfg Config) ([]LoadPoint, error) {
-	return LoadLatencyCurveContext(context.Background(), net, tab, base, rates, w, cfg,
-		runner.Config{}, NewSimPool())
-}
-
-// LoadLatencyCurveContext is LoadLatencyCurve on an explicit context,
-// worker-pool configuration and Sim reuse pool: rates run concurrently,
-// each worker recycling simulators through sims (nil disables reuse).
-// The shared network, table and base matrix are only read.
-func LoadLatencyCurveContext(ctx context.Context, net *topology.Network, tab *routing.Table,
-	base *traffic.Matrix, rates []float64, w BernoulliWorkload, cfg Config,
-	pool runner.Config, sims *SimPool) ([]LoadPoint, error) {
-	return runner.Map(ctx, len(rates), pool, func(_ context.Context, i int) (LoadPoint, error) {
-		return loadPoint(net, tab, base, rates[i], w, cfg, sims)
-	})
-}
-
-// loadPoint runs one offered-load sample: scale the base matrix to the
-// rate, draw the Bernoulli arrivals, simulate, summarize. The simulator
-// comes from (and returns to, on every path) the reuse pool.
-func loadPoint(net *topology.Network, tab *routing.Table, base *traffic.Matrix,
-	rate float64, w BernoulliWorkload, cfg Config, sims *SimPool) (LoadPoint, error) {
-	tm := base.ScaledToMaxRate(rate)
-	pkts, err := w.Generate(net, tm)
-	if err != nil {
-		return LoadPoint{}, err
-	}
-	sim, err := sims.Get(net, tab, cfg)
-	if err != nil {
-		return LoadPoint{}, err
-	}
-	defer sims.Put(sim)
-	if err := sim.InjectAll(pkts); err != nil {
-		return LoadPoint{}, err
-	}
-	st, err := sim.Run()
-	pt := LoadPoint{InjectionRate: rate}
-	if err != nil {
-		if !errors.Is(err, ErrSaturated) {
-			return LoadPoint{}, err
-		}
-		pt.Saturated = true
-	} else {
-		pt.AvgLatencyClks = st.AvgPacketLatencyClks
-		pt.P99LatencyClks = st.P99PacketLatencyClks
-	}
-	return pt, nil
 }
 
 // SaturationLatencyFactor defines the latency-knee rule used by

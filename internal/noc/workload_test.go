@@ -88,59 +88,6 @@ func TestBernoulliValidation(t *testing.T) {
 	}
 }
 
-// TestLoadLatencyCurveShape: latency grows monotonically-ish with offered
-// load and explodes near saturation — the textbook curve.
-func TestLoadLatencyCurveShape(t *testing.T) {
-	net, tab, tm := workloadNet(t)
-	w := BernoulliWorkload{SizeFlits: 1, Cycles: 4000, Seed: 7}
-	if testing.Short() {
-		w.Cycles = 800
-	}
-	cfg := DefaultConfig()
-	rates := []float64{0.02, 0.2, 0.45}
-	pts, err := LoadLatencyCurve(net, tab, tm, rates, w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != len(rates) {
-		t.Fatalf("%d points", len(pts))
-	}
-	for i, p := range pts {
-		if p.Saturated {
-			t.Fatalf("point %v unexpectedly saturated", p.InjectionRate)
-		}
-		if i > 0 && p.AvgLatencyClks < pts[i-1].AvgLatencyClks*0.95 {
-			t.Errorf("latency decreased with load: %v -> %v", pts[i-1], p)
-		}
-		if p.P99LatencyClks < p.AvgLatencyClks {
-			t.Errorf("P99 %v below mean %v", p.P99LatencyClks, p.AvgLatencyClks)
-		}
-	}
-	if pts[2].AvgLatencyClks < 1.2*pts[0].AvgLatencyClks {
-		t.Errorf("high load latency %v should clearly exceed low load %v",
-			pts[2].AvgLatencyClks, pts[0].AvgLatencyClks)
-	}
-}
-
-// TestLoadLatencySaturationFlagged: an absurd offered load is flagged, not
-// fatal.
-func TestLoadLatencySaturationFlagged(t *testing.T) {
-	net, tab, tm := workloadNet(t)
-	w := BernoulliWorkload{SizeFlits: 1, Cycles: 4000, Seed: 7}
-	cfg := DefaultConfig()
-	cfg.MaxCycles = 6000 // tight cap: overload cannot drain in time
-	if testing.Short() {
-		w.Cycles, cfg.MaxCycles = 800, 1200
-	}
-	pts, err := LoadLatencyCurve(net, tab, tm, []float64{0.95}, w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pts[0].Saturated {
-		t.Error("overload point should be flagged saturated")
-	}
-}
-
 // TestPercentilesPopulated: a simulated run fills the latency percentiles
 // consistently (P50 ≤ mean-ish ≤ P95 ≤ P99 ≤ max).
 func TestPercentilesPopulated(t *testing.T) {

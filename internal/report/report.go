@@ -18,7 +18,6 @@ import (
 	"repro/internal/optical"
 	"repro/internal/stats"
 	"repro/internal/tech"
-	"repro/internal/topology"
 	"repro/internal/units"
 )
 
@@ -122,7 +121,7 @@ func WritePatternSweep(w io.Writer, results []core.PatternSweepResult) error {
 	for _, r := range results {
 		for _, p := range r.Curve {
 			if err := cw.Write([]string{
-				sweepKind(r.Kind), r.Point.Base.String(), r.Point.Express.String(), strconv.Itoa(r.Point.Hops),
+				string(r.Kind), r.Point.Base.String(), r.Point.Express.String(), strconv.Itoa(r.Point.Hops),
 				r.Pattern,
 				f(p.InjectionRate), f(p.AvgLatencyClks), f(p.P99LatencyClks),
 				strconv.FormatBool(p.Saturated),
@@ -135,15 +134,6 @@ func WritePatternSweep(w io.Writer, results []core.PatternSweepResult) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// sweepKind names a sweep row's topology kind, defaulting legacy rows
-// (fabricated results with a zero Kind) to mesh.
-func sweepKind(k topology.Kind) string {
-	if k == "" {
-		return string(topology.Mesh)
-	}
-	return string(k)
 }
 
 // SaturationTable renders the per-pattern saturation summary as an
@@ -164,7 +154,7 @@ func SaturationTable(results []core.PatternSweepResult) string {
 				sat = "≤" + sat
 			}
 		}
-		tbl.AddRow(sweepKind(r.Kind), r.Point.Label(r.Kind), r.Pattern,
+		tbl.AddRow(string(r.Kind), r.Point.Label(r.Kind), r.Pattern,
 			strconv.FormatFloat(r.ZeroLoadLatencyClks(), 'f', 1, 64), sat)
 	}
 	return tbl.String()
@@ -214,7 +204,7 @@ func WriteEnergySweep(w io.Writer, results []core.EnergySweepResult) error {
 	for _, r := range results {
 		for _, p := range r.Points {
 			row := []string{
-				sweepKind(r.Kind),
+				string(r.Kind),
 				r.Point.Base.String(), r.Point.Express.String(), strconv.Itoa(r.Point.Hops),
 				r.Pattern, f(p.Rate),
 				strconv.FormatBool(p.Saturated), f(p.AvgLatencyClks), f(p.P99LatencyClks),
@@ -333,7 +323,7 @@ func WriteFaultSweep(w io.Writer, results []core.FaultSweepResult) error {
 	for _, r := range results {
 		for _, p := range r.Points {
 			if err := cw.Write([]string{
-				sweepKind(r.Kind),
+				string(r.Kind),
 				r.Point.Base.String(), r.Point.Express.String(), strconv.Itoa(r.Point.Hops),
 				r.Variant, r.Pattern,
 				f(p.FaultRate), f(p.Availability), f(p.DownLinkFrac),
@@ -391,7 +381,7 @@ func WriteTaskGraphSweep(w io.Writer, results []core.TaskGraphResult) error {
 	}
 	for _, r := range results {
 		if err := cw.Write([]string{
-			sweepKind(r.Kind), r.Point.Base.String(), r.Point.Express.String(), strconv.Itoa(r.Point.Hops),
+			string(r.Kind), r.Point.Base.String(), r.Point.Express.String(), strconv.Itoa(r.Point.Hops),
 			r.Graph,
 			strconv.Itoa(r.Messages), strconv.FormatInt(r.TotalFlits, 10),
 			strconv.FormatInt(r.MakespanClks, 10), strconv.FormatInt(r.LowerBoundClks, 10),
@@ -414,7 +404,7 @@ func TaskGraphTable(results []core.TaskGraphResult) string {
 		"makespan (clk)", "bound (clk)", "stretch", "avg lat", "p99 lat").
 		AlignRight(3, 4, 5, 6, 7, 8)
 	for _, r := range results {
-		tbl.AddRow(sweepKind(r.Kind), r.Point.Label(r.Kind), r.Graph,
+		tbl.AddRow(string(r.Kind), r.Point.Label(r.Kind), r.Graph,
 			strconv.Itoa(r.Messages),
 			strconv.FormatInt(r.MakespanClks, 10),
 			strconv.FormatInt(r.LowerBoundClks, 10),

@@ -123,10 +123,10 @@ func patternSweepResults() []core.PatternSweepResult {
 		{InjectionRate: 0.2, AvgLatencyClks: 90, P99LatencyClks: 200},
 	}
 	return []core.PatternSweepResult{
-		{Point: mesh, Pattern: "tornado", Curve: curve, SaturationRate: 0.2, Saturates: true},
+		{Kind: topology.Mesh, Point: mesh, Pattern: "tornado", Curve: curve, SaturationRate: 0.2, Saturates: true},
 		{Kind: topology.Torus, Point: hybrid, Pattern: "tornado", Curve: curve[:1]},
 		// The sweep floor itself saturated: the knee is an upper bound.
-		{Point: mesh, Pattern: "hotspot",
+		{Kind: topology.Mesh, Point: mesh, Pattern: "hotspot",
 			Curve:          []noc.LoadPoint{{InjectionRate: 0.05, Saturated: true}},
 			SaturationRate: 0.05, Saturates: true, AtFloor: true},
 	}
@@ -161,7 +161,7 @@ func TestWritePatternSweep(t *testing.T) {
 	if !strings.Contains(buf.String(), "tornado") {
 		t.Error("pattern name missing from rows")
 	}
-	// A zero Kind names the mesh default; explicit kinds pass through.
+	// The kind column renders each row's Kind.
 	if !strings.Contains(buf.String(), "\nmesh,") || !strings.Contains(buf.String(), "\ntorus,") {
 		t.Errorf("kind column missing:\n%s", buf.String())
 	}
@@ -200,7 +200,7 @@ func TestSaturationTableGoldenRendering(t *testing.T) {
 		{Kind: "extremely-long-topology-name", Point: long, Pattern: "hotspot-memory-controllers",
 			Curve:          []noc.LoadPoint{{InjectionRate: 0.05, AvgLatencyClks: 23.4}},
 			SaturationRate: 0.35, Saturates: true},
-		{Point: core.DesignPoint{Base: tech.Electronic, Express: tech.Electronic, Hops: 0},
+		{Kind: topology.Mesh, Point: core.DesignPoint{Base: tech.Electronic, Express: tech.Electronic, Hops: 0},
 			Pattern: "uniform",
 			Curve:   []noc.LoadPoint{{InjectionRate: 0.05, AvgLatencyClks: 123.4}}},
 	}
@@ -300,9 +300,6 @@ func TestEnergyAndParetoTables(t *testing.T) {
 	}
 }
 
-// TestJSONLine pins the wire-encoding contract the serve protocol builds
-// on: compact single-line output, byte-stable across calls, HTML metas
-// unescaped so messages read back verbatim.
 // faultSweepResults builds a tiny two-cell matrix: a healthy baseline
 // cell and a variant cell that degrades at the top of the rate ladder.
 func faultSweepResults() []core.FaultSweepResult {
@@ -372,7 +369,7 @@ func taskGraphResults() []core.TaskGraphResult {
 	mesh := core.DesignPoint{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}
 	hybrid := core.DesignPoint{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3}
 	return []core.TaskGraphResult{
-		{Point: mesh, Graph: "moe-alltoall", Messages: 8064, TotalFlits: 16128,
+		{Kind: topology.Mesh, Point: mesh, Graph: "moe-alltoall", Messages: 8064, TotalFlits: 16128,
 			MakespanClks: 428, LowerBoundClks: 142, Stretch: 3.014,
 			AvgLatencyClks: 31.5, P99LatencyClks: 88, Cycles: 428},
 		{Kind: topology.Torus, Point: hybrid, Graph: "pipeline", Messages: 63, TotalFlits: 2016,
@@ -401,7 +398,7 @@ func TestWriteTaskGraphSweep(t *testing.T) {
 	if !strings.Contains(out, "moe-alltoall") || !strings.Contains(out, "428") {
 		t.Error("rows missing graph/makespan data")
 	}
-	// A zero Kind names the mesh default; explicit kinds pass through.
+	// The kind column renders each row's Kind.
 	if !strings.Contains(out, "\nmesh,") || !strings.Contains(out, "\ntorus,") {
 		t.Errorf("kind column missing:\n%s", out)
 	}
@@ -422,6 +419,9 @@ func TestTaskGraphTable(t *testing.T) {
 	}
 }
 
+// TestJSONLine pins the wire-encoding contract the serve protocol builds
+// on: compact single-line output, byte-stable across calls, HTML metas
+// unescaped so messages read back verbatim.
 func TestJSONLine(t *testing.T) {
 	type row struct {
 		Name string  `json:"name"`

@@ -38,7 +38,7 @@ func WriteTelemetrySweep(w io.Writer, results []core.TelemetryResult) error {
 			maxLink, maxUtil := win.MaxLink()
 			maxRouter, maxOcc := win.MaxOccupancy()
 			if err := cw.Write([]string{
-				sweepKind(r.Kind),
+				string(r.Kind),
 				r.Point.Base.String(), r.Point.Express.String(), strconv.Itoa(r.Point.Hops),
 				r.Pattern, f(r.Rate),
 				strconv.FormatInt(win.Index(), 10),
