@@ -104,8 +104,8 @@ golden-serve:
 	$(GO) test ./internal/serve -run TestGolden -update
 
 # The CLI goldens pin every front end's output byte for byte, driven
-# in-process through each command's run(args, stdout, stderr).
-CLI_GOLDEN_PKGS = ./cmd/hyppi-sim ./cmd/hyppi-explore ./cmd/hyppi-all ./cmd/hyppi-trace ./cmd/hyppi-benchcmp
+# in-process through each command's run(args, …).
+CLI_GOLDEN_PKGS = ./cmd/hyppi-sim ./cmd/hyppi-explore ./cmd/hyppi-all ./cmd/hyppi-trace ./cmd/hyppi-benchcmp ./cmd/hyppi-serve
 
 golden-cli:
 	$(GO) test $(CLI_GOLDEN_PKGS) -run TestGolden -update

@@ -556,7 +556,7 @@ func benchPatternSweep(b *testing.B, o core.Options, point core.DesignPoint, sc 
 	if _, _, err := o.NetworkAndTable(point); err != nil {
 		b.Fatal(err)
 	}
-	var res []core.PatternSweepResult
+	var res []core.EnergySweepResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err = core.PatternSweep(context.Background(), []topology.Kind{o.Topology.Kind},
@@ -565,8 +565,8 @@ func benchPatternSweep(b *testing.B, o core.Options, point core.DesignPoint, sc 
 			b.Fatal(err)
 		}
 	}
-	lat := make([]float64, len(res[0].Curve))
-	for i, p := range res[0].Curve {
+	lat := make([]float64, len(res[0].Points))
+	for i, p := range res[0].Points {
 		lat[i] = p.AvgLatencyClks
 	}
 	return lat

@@ -41,6 +41,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -66,34 +67,47 @@ var (
 )
 
 func main() {
-	os.Exit(run())
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "hyppi-serve:", err)
+		os.Exit(1)
+	}
 }
 
-func run() int {
-	httpAddr := flag.String("http", "", "serve HTTP on this address instead of stdio (e.g. :8080)")
-	debugAddr := flag.String("debug-addr", "",
+// run parses args and serves: the selftest report, or stdio-mode
+// responses, go to stdout; listener notices, drain progress, usage and
+// flag errors go to stderr. Stdio mode reads its request lines from stdin.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("hyppi-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	httpAddr := fs.String("http", "", "serve HTTP on this address instead of stdio (e.g. :8080)")
+	debugAddr := fs.String("debug-addr", "",
 		"also serve net/http/pprof on this address (e.g. localhost:6060); "+
 			"keep it off public interfaces")
-	workers := flag.Int("workers", 0, "evaluation pool size per batch (0 = GOMAXPROCS)")
-	queueDepth := flag.Int("queue", serve.DefaultQueueDepth, "pending-evaluation queue depth (backpressure bound)")
-	maxBatch := flag.Int("batch", serve.DefaultMaxBatch, "max queries coalesced into one evaluation batch")
-	maxNodes := flag.Int("max-nodes", serve.DefaultMaxNodes, "largest width*height a query may ask for")
-	inFlight := flag.Int("in-flight", serve.DefaultMaxInFlight, "stdio mode: max request lines answered concurrently")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
+	workers := fs.Int("workers", 0, "evaluation pool size per batch (0 = GOMAXPROCS)")
+	queueDepth := fs.Int("queue", serve.DefaultQueueDepth, "pending-evaluation queue depth (backpressure bound)")
+	maxBatch := fs.Int("batch", serve.DefaultMaxBatch, "max queries coalesced into one evaluation batch")
+	maxNodes := fs.Int("max-nodes", serve.DefaultMaxNodes, "largest width*height a query may ask for")
+	inFlight := fs.Int("in-flight", serve.DefaultMaxInFlight, "stdio mode: max request lines answered concurrently")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second,
 		"graceful-shutdown bound: how long in-flight queries may finish after SIGINT/SIGTERM")
-	selftest := flag.Bool("selftest", false, "replay the built-in workload and report q/s + hit rate")
-	queries := flag.Int("queries", 120, "selftest: total queries")
-	clients := flag.Int("clients", 8, "selftest: concurrent clients")
-	targetQPS := flag.Float64("qps", 0, "selftest: offered rate (0 = as fast as possible)")
-	minQPS := flag.Float64("min-qps", 0, "selftest: fail under this sustained rate")
-	minHit := flag.Float64("min-hit", 0, "selftest: fail under this cache hit rate")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
+	selftest := fs.Bool("selftest", false, "replay the built-in workload and report q/s + hit rate")
+	queries := fs.Int("queries", 120, "selftest: total queries")
+	clients := fs.Int("clients", 8, "selftest: concurrent clients")
+	targetQPS := fs.Float64("qps", 0, "selftest: offered rate (0 = as fast as possible)")
+	minQPS := fs.Float64("min-qps", 0, "selftest: fail under this sustained rate")
+	minHit := fs.Float64("min-hit", 0, "selftest: fail under this cache hit rate")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr,
 			"Usage: hyppi-serve [flags]\n\nJSON-lines simulation service; %s;\n%s.\n\n",
 			patternUsage, topologyUsage)
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	cfg := serve.DefaultEngineConfig()
 	cfg.Workers = *workers
@@ -109,8 +123,7 @@ func run() int {
 	if *debugAddr != "" {
 		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-serve:", err)
-			return 1
+			return err
 		}
 		dmux := http.NewServeMux()
 		dmux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -119,7 +132,7 @@ func run() int {
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		dsrv := &http.Server{Handler: dmux, ReadHeaderTimeout: 10 * time.Second}
-		fmt.Fprintf(os.Stderr, "hyppi-serve: pprof on http://%s/debug/pprof/\n", dln.Addr())
+		fmt.Fprintf(stderr, "hyppi-serve: pprof on http://%s/debug/pprof/\n", dln.Addr())
 		go dsrv.Serve(dln)
 		defer dsrv.Close()
 	}
@@ -135,29 +148,23 @@ func run() int {
 			Queries: *queries, Clients: *clients, TargetQPS: *targetQPS,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-serve:", err)
-			return 1
+			return err
 		}
-		fmt.Println(rep)
-		if rep.Failed > 0 {
-			fmt.Fprintf(os.Stderr, "hyppi-serve: selftest: %d queries failed\n", rep.Failed)
-			return 1
+		fmt.Fprintln(stdout, rep)
+		switch {
+		case rep.Failed > 0:
+			return fmt.Errorf("selftest: %d queries failed", rep.Failed)
+		case *minQPS > 0 && rep.QPS < *minQPS:
+			return fmt.Errorf("selftest: %.1f q/s under the %.1f q/s floor", rep.QPS, *minQPS)
+		case *minHit > 0 && rep.HitRate < *minHit:
+			return fmt.Errorf("selftest: hit rate %.2f under the %.2f floor", rep.HitRate, *minHit)
 		}
-		if *minQPS > 0 && rep.QPS < *minQPS {
-			fmt.Fprintf(os.Stderr, "hyppi-serve: selftest: %.1f q/s under the %.1f q/s floor\n", rep.QPS, *minQPS)
-			return 1
-		}
-		if *minHit > 0 && rep.HitRate < *minHit {
-			fmt.Fprintf(os.Stderr, "hyppi-serve: selftest: hit rate %.2f under the %.2f floor\n", rep.HitRate, *minHit)
-			return 1
-		}
-		return 0
+		return nil
 
 	case *httpAddr != "":
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-serve:", err)
-			return 1
+			return err
 		}
 		// Slow-client hardening: a body must arrive promptly, but the
 		// write timeout also covers the evaluation itself, so it stays an
@@ -170,45 +177,38 @@ func run() int {
 			WriteTimeout:      5 * time.Minute,
 			IdleTimeout:       2 * time.Minute,
 		}
-		fmt.Fprintf(os.Stderr, "hyppi-serve: listening on http://%s (POST /query, GET /stats, GET /metrics, GET /healthz)\n",
+		fmt.Fprintf(stderr, "hyppi-serve: listening on http://%s (POST /query, GET /stats, GET /metrics, GET /healthz)\n",
 			ln.Addr())
 		errc := make(chan error, 1)
 		go func() { errc <- srv.Serve(ln) }()
 		select {
 		case err := <-errc:
-			fmt.Fprintln(os.Stderr, "hyppi-serve:", err)
-			return 1
+			return err
 		case <-ctx.Done():
 		}
 		// Drain: refuse new queries (503), let accepted ones finish,
 		// bounded by -drain-timeout.
 		engine.StartDraining()
-		fmt.Fprintf(os.Stderr, "hyppi-serve: signal received, draining (bound %v)\n", *drainTimeout)
+		fmt.Fprintf(stderr, "hyppi-serve: signal received, draining (bound %v)\n", *drainTimeout)
 		sctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
 		if err := srv.Shutdown(sctx); err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-serve: drain incomplete:", err)
-			return 1
+			return fmt.Errorf("drain incomplete: %w", err)
 		}
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "hyppi-serve:", err)
-			return 1
+			return err
 		}
-		fmt.Fprintln(os.Stderr, "hyppi-serve: drained")
-		return 0
+		fmt.Fprintln(stderr, "hyppi-serve: drained")
+		return nil
 
 	default:
-		err := engine.ServeLines(ctx, os.Stdin, os.Stdout, *inFlight)
+		err := engine.ServeLines(ctx, stdin, stdout, *inFlight)
 		if errors.Is(err, context.Canceled) {
 			// Signal-driven exit: responses already accepted were written
 			// in order before ServeLines returned.
-			fmt.Fprintln(os.Stderr, "hyppi-serve: signal received, drained")
-			return 0
+			fmt.Fprintln(stderr, "hyppi-serve: signal received, drained")
+			return nil
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-serve:", err)
-			return 1
-		}
-		return 0
+		return err
 	}
 }

@@ -165,7 +165,8 @@ func variantNames() []string {
 }
 
 // parseVariants resolves a -variant spec against the registry, accepting
-// "baseline" as an alias for the registry's empty baseline name.
+// "baseline" as an alias for the registry's empty baseline name. Duplicates
+// are dropped, keeping the first occurrence.
 func parseVariants(spec string) ([]string, error) {
 	if spec == "all" {
 		var out []string
@@ -175,6 +176,7 @@ func parseVariants(spec string) ([]string, error) {
 		return out, nil
 	}
 	var out []string
+	seen := map[string]bool{}
 	for _, name := range strings.Split(spec, ",") {
 		name = strings.TrimSpace(name)
 		if name == "baseline" {
@@ -183,7 +185,10 @@ func parseVariants(spec string) ([]string, error) {
 		if _, err := dsent.LookupVariant(name); err != nil {
 			return nil, err
 		}
-		out = append(out, name)
+		if !seen[name] {
+			seen[name] = true
+			out = append(out, name)
+		}
 	}
 	return out, nil
 }
@@ -470,8 +475,8 @@ func (e env) replay(path string) error {
 // load on the -grid geometry — on the lone mesh kind the plain electronic
 // mesh against the express hop ladder, otherwise one plain electronic
 // fabric per selected kind — printing each configuration's load-latency
-// curve and its latency-knee saturation throughput (see
-// noc.DetectSaturation).
+// curve and its latency-knee saturation throughput (the ladder's knee rule,
+// set on every core.EnergySweepResult).
 func (e env) patternSweep(spec string) error {
 	patterns, err := traffic.ParsePatterns(spec)
 	if err != nil {
@@ -499,13 +504,13 @@ func (e env) patternSweep(spec string) error {
 		} else {
 			fmt.Fprintf(e.w, "\n%v / %s\n", r.Kind, r.Pattern)
 		}
-		for _, p := range r.Curve {
+		for _, p := range r.Points {
 			if p.Saturated {
-				fmt.Fprintf(e.w, "  rate %-6.3g saturated (failed to drain)\n", p.InjectionRate)
+				fmt.Fprintf(e.w, "  rate %-6.3g saturated (failed to drain)\n", p.Rate)
 				continue
 			}
 			fmt.Fprintf(e.w, "  rate %-6.3g avg %-8.1f p99 %.1f\n",
-				p.InjectionRate, p.AvgLatencyClks, p.P99LatencyClks)
+				p.Rate, p.AvgLatencyClks, p.P99LatencyClks)
 		}
 	}
 	fmt.Fprintln(e.w, "\nSaturation summary (latency-knee rule: avg > 3x zero-load, or no drain)")

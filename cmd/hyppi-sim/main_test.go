@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,6 +60,7 @@ func TestGolden(t *testing.T) {
 		{"faults", []string{"-pattern", "uniform", "-faults", "-variant", "baseline", "-grid", "4x4"}},
 		{"faults_csv", []string{"-pattern", "uniform", "-faults", "-variant", "baseline", "-grid", "4x4", "-csv"}},
 		{"taskgraph", []string{"-taskgraph", "all", "-topology", "all", "-csv", "-grid", "4x4"}},
+		{"taskgraph_table", []string{"-taskgraph", "all", "-topology", "all", "-grid", "4x4"}},
 		{"telemetry", []string{"-pattern", "uniform", "-trace-out", traceOut, "-grid", "4x4"}},
 		{"telemetry_csv", []string{"-pattern", "uniform", "-trace-out", traceOut, "-grid", "4x4", "-csv"}},
 		{"kernel", []string{"-kernel", "LU", "-scale", "0.004", "-iterations", "1"}},
@@ -132,5 +134,25 @@ func TestRunFlagErrors(t *testing.T) {
 	args := strings.Fields("-kernel LU -scale 0.004 -iterations 1 -csv=false -energy=false")
 	if err := run(args, &stdout, &stderr); err != nil {
 		t.Errorf("run %q: %v", args, err)
+	}
+}
+
+// TestListFlagsDropRepeats: a repeated -variant keeps its first
+// occurrence ("baseline" and the empty registry name are one variant), and
+// a repeated -pattern simulates and prints each cell once.
+func TestListFlagsDropRepeats(t *testing.T) {
+	got, err := parseVariants("modetector,baseline,modetector,")
+	if want := []string{"modetector", ""}; err != nil || !slices.Equal(got, want) {
+		t.Errorf("parseVariants = %q, %v; want %q", got, err, want)
+	}
+	var once, twice, stderr bytes.Buffer
+	if err := run(strings.Fields("-pattern uniform -grid 4x4"), &once, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(strings.Fields("-pattern uniform,uniform -grid 4x4"), &twice, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+		t.Errorf("-pattern uniform,uniform differs from -pattern uniform:\n%s", twice.String())
 	}
 }

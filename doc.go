@@ -38,8 +38,8 @@
 // named synthetic patterns (uniform, transpose, bitcomp, bitrev, shuffle,
 // tornado, neighbor, hotspot); core.PatternSweep walks each pattern's
 // load ladder (one open-loop sample per rate, internal/core/sweep.go) and
-// measures its saturation throughput with the latency-knee rule
-// documented at noc.DetectSaturation. Beyond the paper's fabric, internal/topology
+// measures its saturation throughput with the ladder's latency-knee rule
+// (internal/core/energy.go). Beyond the paper's fabric, internal/topology
 // carries a registry of named topology kinds (mesh, torus, cmesh, fbfly)
 // sharing one Link/NodeID model; core.ExploreKinds and the kind axis of
 // core.PatternSweep (and of EnergySweep and FaultSweep) sweep them,

@@ -15,7 +15,6 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/noc"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/tech"
@@ -43,10 +42,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mesh, express := curves[0].Curve, curves[1].Curve
+	mesh, express := curves[0].Points, curves[1].Points
 
 	tbl := stats.NewTable("rate", "mesh avg", "mesh p99", "express avg", "express p99")
-	cell := func(p noc.LoadPoint, q bool) string {
+	cell := func(p core.EnergyPoint, q bool) string {
 		if p.Saturated {
 			return "saturated"
 		}

@@ -8,8 +8,9 @@
 // traffic, but express links earn (or lose) their keep under spatial
 // structure. Tornado and transpose concentrate flow along rows — exactly
 // where the horizontal express links live — while nearest-neighbor gives
-// them nothing to do. The per-pattern saturation throughput (latency-knee
-// rule, see noc.DetectSaturation) makes that visible in one table.
+// them nothing to do. The per-pattern saturation throughput (the load
+// ladder's latency-knee rule, carried on every core.EnergySweepResult)
+// makes that visible in one table.
 //
 // Run with:
 //

@@ -68,7 +68,7 @@ func main() {
 
 	// Headline: how much tornado headroom each fabric buys over the mesh.
 	fmt.Println("\ntornado saturation vs mesh:")
-	sat := map[topology.Kind]core.PatternSweepResult{}
+	sat := map[topology.Kind]core.EnergySweepResult{}
 	for _, r := range results {
 		if r.Pattern == "tornado" {
 			sat[r.Kind] = r

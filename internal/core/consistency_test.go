@@ -15,10 +15,11 @@ import (
 // TestSweepFamiliesAgree pins the sweep families to one another: every
 // family that simulates an open-loop (point, pattern, rate) sample — the
 // pattern ladder, the energy ladder, a serving cell and the instrumented
-// telemetry run — must report the same numbers for it, and a serving
-// trace cell must replay exactly like RunTraceExperiment. The cycle cap
-// is low enough that the top rate of the ladder fails to drain, so the
-// saturation flag is compared on both sides of the knee.
+// telemetry run — must report the same numbers for it, the pattern and
+// energy ladders must place every cell's latency knee alike, and a
+// serving trace cell must replay exactly like RunTraceExperiment. The
+// cycle cap is low enough that the top rate of the ladder fails to drain,
+// so the saturation flag is compared on both sides of the knee.
 func TestSweepFamiliesAgree(t *testing.T) {
 	ctx := context.Background()
 	pool := runner.Config{Workers: 2}
@@ -69,8 +70,12 @@ func TestSweepFamiliesAgree(t *testing.T) {
 			t.Fatalf("cell %d: pattern sweep %v/%v/%s vs energy sweep %v/%v/%s",
 				ci, c.Kind, c.Point, c.Pattern, e.Kind, e.Point, e.Pattern)
 		}
+		if c.SaturationRate != e.SaturationRate || c.Saturates != e.Saturates || c.AtFloor != e.AtFloor {
+			t.Errorf("cell %d: pattern knee (%v, saturates %v, at floor %v) vs energy knee (%v, %v, %v)",
+				ci, c.SaturationRate, c.Saturates, c.AtFloor, e.SaturationRate, e.Saturates, e.AtFloor)
+		}
 		for ri, rate := range sc.Rates {
-			lp, ep, ev := c.Curve[ri], e.Points[ri], evals[ci*len(sc.Rates)+ri]
+			lp, ep, ev := c.Points[ri], e.Points[ri], evals[ci*len(sc.Rates)+ri]
 			where := func() string { return c.Point.String() + " / " + c.Pattern }
 			if ev.Err != nil {
 				t.Fatalf("%s @ %v: %v", where(), rate, ev.Err)

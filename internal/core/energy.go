@@ -15,7 +15,7 @@ import (
 // (PatternSweep, EnergySweep) and the serving batches (EvalCells).
 type EnergySweepConfig struct {
 	// Rates is the ascending offered-load grid in flits/cycle; the
-	// latency-knee detector (noc.DetectSaturation) reads the first rate
+	// ladder's latency-knee rule (detectSaturation) reads the first rate
 	// as the zero-load baseline.
 	Rates []float64
 	// Workload shapes the open-loop arrivals at each point.
@@ -74,15 +74,90 @@ type EnergyPoint struct {
 }
 
 // EnergySweepResult is one (topology kind, design point, pattern) cell of
-// an energy sweep: the measured latency–energy curve over the rate ladder.
+// a load-ladder sweep: the load-latency curve over the rate ladder, its
+// latency knee, and — when EnergySweep priced it — the measured energy of
+// every drained sample.
 type EnergySweepResult struct {
+	// Kind is the topology family the cell ran on (canonical: Build
+	// resolved it).
 	Kind    topology.Kind
 	Point   DesignPoint
 	Pattern string
-	// StaticW and AreaM2 are the cell's network-level constants.
+	// StaticW and AreaM2 are the cell's network-level constants (zero
+	// when the ladder ran unpriced).
 	StaticW, AreaM2 float64
 	// Points holds one sample per swept rate, in rate order.
 	Points []EnergyPoint
+	// SaturationRate is the latency-knee offered load (see
+	// detectSaturation); zero when the design never saturates within the
+	// swept range.
+	SaturationRate float64
+	// Saturates reports whether the knee lies inside the swept range.
+	Saturates bool
+	// AtFloor marks a cell whose lowest swept rate already saturated:
+	// SaturationRate then only bounds capacity from above (the true knee
+	// lies at or below the sweep floor) and must not be read — or
+	// rendered — as a measured throughput.
+	AtFloor bool
+}
+
+// ZeroLoadLatencyClks returns the curve's first (lowest-rate) average
+// latency — the knee rule's baseline.
+func (r EnergySweepResult) ZeroLoadLatencyClks() float64 {
+	if len(r.Points) == 0 {
+		return 0
+	}
+	return r.Points[0].AvgLatencyClks
+}
+
+// saturationLatencyFactor defines the latency-knee rule used by
+// detectSaturation: a pattern's saturation throughput is the lowest
+// offered load whose average packet latency exceeds this multiple of the
+// curve's zero-load latency (the first swept point), or that fails to
+// drain within the cycle cap. 3× is the conventional knee threshold in
+// NoC load-latency methodology — past it, queueing delay dominates and
+// latency grows without bound.
+const saturationLatencyFactor = 3.0
+
+// detectSaturation applies the latency-knee rule to a load-latency curve
+// sampled at ascending rates. It returns the offered rate of the first
+// saturated point. A curve whose lowest rate already fails to drain
+// reports that rate with atFloor set: the true knee lies at or below the
+// sweep floor, so the returned rate is an upper bound on capacity, not a
+// measurement — consumers must render it "≤ rate", never as a measured
+// throughput. An interior knee (the rule firing past the first point,
+// including a first point whose latency merely trips the knee on a later
+// comparison) reports atFloor false. ok is false only when the curve is
+// empty or never saturates within the swept range (the returned rate is
+// then zero and atFloor is false).
+func detectSaturation(points []EnergyPoint) (rate float64, atFloor, ok bool) {
+	if len(points) == 0 {
+		return 0, false, false
+	}
+	if points[0].Saturated {
+		return points[0].Rate, true, true
+	}
+	base := points[0].AvgLatencyClks
+	for _, p := range points[1:] {
+		if p.Saturated || p.AvgLatencyClks > saturationLatencyFactor*base {
+			return p.Rate, false, true
+		}
+	}
+	return 0, false, false
+}
+
+// PatternSweep runs the topology-kind × design-point × pattern saturation
+// matrix: every (kind, point, pattern) cell walks the rate ladder serially
+// with the cycle-accurate simulator — EnergySweep's ladder, unpriced — and
+// carries the curve's latency knee. Results come back kind-major,
+// point-middle, pattern-minor and are bit-identical for any worker count;
+// the first failure cancels the batch.
+//
+// Non-mesh kinds reject express design points at Build time; pass plain
+// (Hops = 0) points for kind-portable sweeps, exactly as with ExploreKinds.
+func PatternSweep(ctx context.Context, kinds []topology.Kind, points []DesignPoint, patterns []traffic.Pattern,
+	sc EnergySweepConfig, o Options, pool runner.Config) ([]EnergySweepResult, error) {
+	return ladderSweep(ctx, kinds, points, patterns, sc, o, pool, false)
 }
 
 // EnergySweep runs the design-point × topology-kind × pattern × load
@@ -110,9 +185,10 @@ func EnergySweep(ctx context.Context, kinds []topology.Kind, points []DesignPoin
 }
 
 // ladderSweep walks the rate ladder on every (kind, point, pattern) cell,
-// kind-major, point-middle, pattern-minor; priced folds an energy model
-// into every fabric, so each drained sample is priced and the cell carries
-// its network-level constants.
+// kind-major, point-middle, pattern-minor, and locates each curve's
+// latency knee; priced folds an energy model into every fabric, so each
+// drained sample is priced and the cell carries its network-level
+// constants.
 func ladderSweep(ctx context.Context, kinds []topology.Kind, points []DesignPoint,
 	patterns []traffic.Pattern, sc EnergySweepConfig, o Options, pool runner.Config, priced bool) ([]EnergySweepResult, error) {
 	if err := sc.Validate(); err != nil {
@@ -132,8 +208,11 @@ func ladderSweep(ctx context.Context, kinds []topology.Kind, points []DesignPoin
 				res.StaticW, res.AreaM2 = f.model.StaticW(), f.model.AreaM2()
 			}
 			var err error
-			res.Points, err = f.ladder(ctx, sims, base, sc)
-			return res, err
+			if res.Points, err = f.ladder(ctx, sims, base, sc); err != nil {
+				return res, err
+			}
+			res.SaturationRate, res.AtFloor, res.Saturates = detectSaturation(res.Points)
+			return res, nil
 		})
 }
 

@@ -54,21 +54,74 @@ func TestPatternSweepShape(t *testing.T) {
 			t.Errorf("result %d is %v/%s, want %v/%s",
 				i, r.Point, r.Pattern, wantPoint, wantPat.Name())
 		}
-		if len(r.Curve) != len(sc.Rates) {
-			t.Fatalf("result %d has %d curve points, want %d", i, len(r.Curve), len(sc.Rates))
+		if len(r.Points) != len(sc.Rates) {
+			t.Fatalf("result %d has %d curve points, want %d", i, len(r.Points), len(sc.Rates))
 		}
-		for j, p := range r.Curve {
-			if p.InjectionRate != sc.Rates[j] {
-				t.Errorf("result %d point %d at rate %v, want %v", i, j, p.InjectionRate, sc.Rates[j])
+		for j, p := range r.Points {
+			if p.Rate != sc.Rates[j] {
+				t.Errorf("result %d point %d at rate %v, want %v", i, j, p.Rate, sc.Rates[j])
 			}
 		}
-		rate, atFloor, ok := noc.DetectSaturation(r.Curve)
+		rate, atFloor, ok := detectSaturation(r.Points)
 		if rate != r.SaturationRate || atFloor != r.AtFloor || ok != r.Saturates {
-			t.Errorf("result %d knee (%v,%v,%v) disagrees with DetectSaturation (%v,%v,%v)",
+			t.Errorf("result %d knee (%v,%v,%v) disagrees with detectSaturation (%v,%v,%v)",
 				i, r.SaturationRate, r.AtFloor, r.Saturates, rate, atFloor, ok)
 		}
-		if r.ZeroLoadLatencyClks() <= 0 && !r.Curve[0].Saturated {
+		if r.ZeroLoadLatencyClks() <= 0 && !r.Points[0].Saturated {
 			t.Errorf("result %d zero-load latency %v", i, r.ZeroLoadLatencyClks())
+		}
+	}
+}
+
+// TestDetectSaturation pins the ladder's latency-knee rule on hand-made
+// curves: the floor marker, interior knees and the strict 3× threshold.
+func TestDetectSaturation(t *testing.T) {
+	cases := []struct {
+		name    string
+		points  []EnergyPoint
+		rate    float64
+		atFloor bool
+		ok      bool
+	}{
+		{"empty", nil, 0, false, false},
+		// A curve saturated from its lowest rate reports that rate WITH
+		// the at-floor marker: the knee lies at or below the sweep floor,
+		// so the rate is an upper bound, not a measured capacity.
+		{"baseline saturated",
+			[]EnergyPoint{{Rate: 0.1, Saturated: true}}, 0.1, true, true},
+		{"flat curve never saturates", []EnergyPoint{
+			{Rate: 0.1, AvgLatencyClks: 20},
+			{Rate: 0.2, AvgLatencyClks: 22},
+			{Rate: 0.3, AvgLatencyClks: 25},
+		}, 0, false, false},
+		// An interior knee is a measurement, not a floor artifact.
+		{"latency knee at 3x zero-load", []EnergyPoint{
+			{Rate: 0.1, AvgLatencyClks: 20},
+			{Rate: 0.2, AvgLatencyClks: 45},
+			{Rate: 0.3, AvgLatencyClks: 61}, // > 3×20
+			{Rate: 0.4, AvgLatencyClks: 300},
+		}, 0.3, false, true},
+		{"no-drain point saturates", []EnergyPoint{
+			{Rate: 0.1, AvgLatencyClks: 20},
+			{Rate: 0.2, Saturated: true},
+		}, 0.2, false, true},
+		{"exactly 3x is not past the knee", []EnergyPoint{
+			{Rate: 0.1, AvgLatencyClks: 20},
+			{Rate: 0.2, AvgLatencyClks: 60},
+		}, 0, false, false},
+		// A second point failing to drain right above a drained floor is
+		// interior: the floor itself was measured fine.
+		{"knee right above the floor is interior", []EnergyPoint{
+			{Rate: 0.05, AvgLatencyClks: 20},
+			{Rate: 0.06, Saturated: true},
+			{Rate: 0.2, Saturated: true},
+		}, 0.06, false, true},
+	}
+	for _, c := range cases {
+		rate, atFloor, ok := detectSaturation(c.points)
+		if rate != c.rate || atFloor != c.atFloor || ok != c.ok {
+			t.Errorf("%s: detectSaturation = (%v, %v, %v), want (%v, %v, %v)",
+				c.name, rate, atFloor, ok, c.rate, c.atFloor, c.ok)
 		}
 	}
 }
@@ -160,7 +213,7 @@ func TestPatternSweepExpressHelps(t *testing.T) {
 
 // curveFixture is one uniform-traffic pattern sweep on the plain 8×8 mesh
 // (the express hybrid with withExpress), returning its single curve.
-func curveFixture(t *testing.T, withExpress bool, rates []float64, w noc.BernoulliWorkload, cfg noc.Config) PatternSweepResult {
+func curveFixture(t *testing.T, withExpress bool, rates []float64, w noc.BernoulliWorkload, cfg noc.Config) EnergySweepResult {
 	t.Helper()
 	pats, err := traffic.ParsePatterns("uniform")
 	if err != nil {
@@ -188,13 +241,13 @@ func TestPatternSweepCurveShape(t *testing.T) {
 		w.Cycles = 800
 	}
 	rates := []float64{0.02, 0.2, 0.45}
-	pts := curveFixture(t, false, rates, w, noc.DefaultConfig()).Curve
+	pts := curveFixture(t, false, rates, w, noc.DefaultConfig()).Points
 	if len(pts) != len(rates) {
 		t.Fatalf("%d points", len(pts))
 	}
 	for i, p := range pts {
 		if p.Saturated {
-			t.Fatalf("point %v unexpectedly saturated", p.InjectionRate)
+			t.Fatalf("point %v unexpectedly saturated", p.Rate)
 		}
 		if i > 0 && p.AvgLatencyClks < pts[i-1].AvgLatencyClks*0.95 {
 			t.Errorf("latency decreased with load: %v -> %v", pts[i-1], p)
@@ -219,7 +272,7 @@ func TestPatternSweepSaturationFlagged(t *testing.T) {
 		w.Cycles, cfg.MaxCycles = 800, 1200
 	}
 	r := curveFixture(t, false, []float64{0.95}, w, cfg)
-	if !r.Curve[0].Saturated {
+	if !r.Points[0].Saturated {
 		t.Error("overload point should be flagged saturated")
 	}
 	if !r.Saturates || !r.AtFloor || r.SaturationRate != 0.95 {
@@ -252,7 +305,7 @@ func TestPatternSweepPooledMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := make([]noc.LoadPoint, len(rates))
+	fresh := make([]EnergyPoint, len(rates))
 	for i, rate := range rates {
 		pkts, err := w.Generate(net, base.ScaledToMaxRate(rate))
 		if err != nil {
@@ -269,11 +322,11 @@ func TestPatternSweepPooledMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh[i] = noc.LoadPoint{InjectionRate: rate, AvgLatencyClks: st.AvgPacketLatencyClks,
+		fresh[i] = EnergyPoint{Rate: rate, AvgLatencyClks: st.AvgPacketLatencyClks,
 			P99LatencyClks: st.P99PacketLatencyClks}
 	}
 	for round := 0; round < 2; round++ {
-		if got := curveFixture(t, true, rates, w, cfg).Curve; !reflect.DeepEqual(fresh, got) {
+		if got := curveFixture(t, true, rates, w, cfg).Points; !reflect.DeepEqual(fresh, got) {
 			t.Errorf("round %d: pooled curve diverges:\nfresh:  %+v\npooled: %+v", round, fresh, got)
 		}
 	}

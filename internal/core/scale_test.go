@@ -57,12 +57,12 @@ func TestScaleSmoke(t *testing.T) {
 		t.Fatalf("got %d results, want %d", len(results), len(points)*len(patterns))
 	}
 	for _, r := range results {
-		for _, pt := range r.Curve {
+		for _, pt := range r.Points {
 			if pt.Saturated {
-				t.Errorf("%s @ %v saturated — smoke loads must sit below the knee", r.Pattern, pt.InjectionRate)
+				t.Errorf("%s @ %v saturated — smoke loads must sit below the knee", r.Pattern, pt.Rate)
 			}
 			if pt.AvgLatencyClks <= 0 {
-				t.Errorf("%s @ %v: non-positive latency %v", r.Pattern, pt.InjectionRate, pt.AvgLatencyClks)
+				t.Errorf("%s @ %v: non-positive latency %v", r.Pattern, pt.Rate, pt.AvgLatencyClks)
 			}
 		}
 	}

@@ -59,10 +59,10 @@ func TestTopologyPatternSweepShape(t *testing.T) {
 		if r.Point.Hops != 0 {
 			t.Errorf("result %d uses express point %v; kind sweeps are plain", i, r.Point)
 		}
-		if len(r.Curve) != len(sc.Rates) {
-			t.Fatalf("result %d has %d curve points, want %d", i, len(r.Curve), len(sc.Rates))
+		if len(r.Points) != len(sc.Rates) {
+			t.Fatalf("result %d has %d curve points, want %d", i, len(r.Points), len(sc.Rates))
 		}
-		if r.ZeroLoadLatencyClks() <= 0 && !r.Curve[0].Saturated {
+		if r.ZeroLoadLatencyClks() <= 0 && !r.Points[0].Saturated {
 			t.Errorf("result %d (%v/%s): zero-load latency %v", i, r.Kind, r.Pattern, r.ZeroLoadLatencyClks())
 		}
 	}

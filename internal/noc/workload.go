@@ -93,50 +93,3 @@ func searchCum(cum []float64, x float64) int {
 	}
 	return lo
 }
-
-// LoadPoint is one sample of a load-latency curve.
-type LoadPoint struct {
-	// InjectionRate is the offered max per-node rate in flits/cycle.
-	InjectionRate float64
-	// AvgLatencyClks and P99LatencyClks summarize packet latency.
-	AvgLatencyClks, P99LatencyClks float64
-	// Saturated marks points that failed to drain within the cycle cap
-	// (offered load beyond network capacity).
-	Saturated bool
-}
-
-// SaturationLatencyFactor defines the latency-knee rule used by
-// DetectSaturation: a pattern's saturation throughput is the lowest
-// offered load whose average packet latency exceeds this multiple of the
-// curve's zero-load latency (the first swept point), or that fails to
-// drain within the cycle cap. 3× is the conventional knee threshold in
-// NoC load-latency methodology — past it, queueing delay dominates and
-// latency grows without bound.
-const SaturationLatencyFactor = 3.0
-
-// DetectSaturation applies the latency-knee rule to a load-latency curve
-// sampled at ascending rates. It returns the offered injection rate of
-// the first saturated point. A curve whose lowest rate already fails to
-// drain reports that rate with atFloor set: the true knee lies at or
-// below the sweep floor, so the returned rate is an upper bound on
-// capacity, not a measurement — consumers must render it "≤ rate", never
-// as a measured throughput. An interior knee (the rule firing past the
-// first point, including a first point whose latency merely trips the
-// knee on a later comparison) reports atFloor false. ok is false only
-// when the curve is empty or never saturates within the swept range (the
-// returned rate is then zero and atFloor is false).
-func DetectSaturation(points []LoadPoint) (rate float64, atFloor, ok bool) {
-	if len(points) == 0 {
-		return 0, false, false
-	}
-	if points[0].Saturated {
-		return points[0].InjectionRate, true, true
-	}
-	base := points[0].AvgLatencyClks
-	for _, p := range points[1:] {
-		if p.Saturated || p.AvgLatencyClks > SaturationLatencyFactor*base {
-			return p.InjectionRate, false, true
-		}
-	}
-	return 0, false, false
-}

@@ -109,7 +109,7 @@ func WriteTraceResults(w io.Writer, results []core.TraceResult) error {
 // row per (topology kind, design point, pattern, offered rate), plus the per-curve
 // latency-knee saturation throughput so downstream plots can draw both
 // the curves and the knee markers.
-func WritePatternSweep(w io.Writer, results []core.PatternSweepResult) error {
+func WritePatternSweep(w io.Writer, results []core.EnergySweepResult) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
 		"topology", "base", "express", "hops", "pattern",
@@ -119,11 +119,11 @@ func WritePatternSweep(w io.Writer, results []core.PatternSweepResult) error {
 		return err
 	}
 	for _, r := range results {
-		for _, p := range r.Curve {
+		for _, p := range r.Points {
 			if err := cw.Write([]string{
 				string(r.Kind), r.Point.Base.String(), r.Point.Express.String(), strconv.Itoa(r.Point.Hops),
 				r.Pattern,
-				f(p.InjectionRate), f(p.AvgLatencyClks), f(p.P99LatencyClks),
+				f(p.Rate), f(p.AvgLatencyClks), f(p.P99LatencyClks),
 				strconv.FormatBool(p.Saturated),
 				f(r.SaturationRate), strconv.FormatBool(r.Saturates),
 				strconv.FormatBool(r.AtFloor),
@@ -143,7 +143,7 @@ func WritePatternSweep(w io.Writer, results []core.PatternSweepResult) error {
 // when the sweep floor itself saturated, so the knee was bounded, not
 // measured). The numeric columns are right-aligned so magnitudes stay
 // comparable next to design-point labels of any length.
-func SaturationTable(results []core.PatternSweepResult) string {
+func SaturationTable(results []core.EnergySweepResult) string {
 	tbl := stats.NewTable("topology", "design point", "pattern", "zero-load (clk)", "saturation (flits/clk)").
 		AlignRight(3, 4)
 	for _, r := range results {
@@ -474,12 +474,6 @@ func Check(r io.Reader) (rows int, err error) {
 	}
 	if len(recs) == 0 {
 		return 0, fmt.Errorf("report: empty CSV")
-	}
-	for i, rec := range recs {
-		if len(rec) != len(recs[0]) {
-			return 0, fmt.Errorf("report: row %d has %d fields, header has %d",
-				i, len(rec), len(recs[0]))
-		}
 	}
 	return len(recs) - 1, nil
 }

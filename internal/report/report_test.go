@@ -115,19 +115,19 @@ func TestCheckCatchesCorruption(t *testing.T) {
 
 // patternSweepResults fabricates a two-cell sweep without running the
 // simulator: the writers only format.
-func patternSweepResults() []core.PatternSweepResult {
+func patternSweepResults() []core.EnergySweepResult {
 	mesh := core.DesignPoint{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}
 	hybrid := core.DesignPoint{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3}
-	curve := []noc.LoadPoint{
-		{InjectionRate: 0.05, AvgLatencyClks: 20, P99LatencyClks: 30},
-		{InjectionRate: 0.2, AvgLatencyClks: 90, P99LatencyClks: 200},
+	curve := []core.EnergyPoint{
+		{Rate: 0.05, AvgLatencyClks: 20, P99LatencyClks: 30},
+		{Rate: 0.2, AvgLatencyClks: 90, P99LatencyClks: 200},
 	}
-	return []core.PatternSweepResult{
-		{Kind: topology.Mesh, Point: mesh, Pattern: "tornado", Curve: curve, SaturationRate: 0.2, Saturates: true},
-		{Kind: topology.Torus, Point: hybrid, Pattern: "tornado", Curve: curve[:1]},
+	return []core.EnergySweepResult{
+		{Kind: topology.Mesh, Point: mesh, Pattern: "tornado", Points: curve, SaturationRate: 0.2, Saturates: true},
+		{Kind: topology.Torus, Point: hybrid, Pattern: "tornado", Points: curve[:1]},
 		// The sweep floor itself saturated: the knee is an upper bound.
 		{Kind: topology.Mesh, Point: mesh, Pattern: "hotspot",
-			Curve:          []noc.LoadPoint{{InjectionRate: 0.05, Saturated: true}},
+			Points:         []core.EnergyPoint{{Rate: 0.05, Saturated: true}},
 			SaturationRate: 0.05, Saturates: true, AtFloor: true},
 	}
 }
@@ -196,13 +196,13 @@ func TestSaturationTable(t *testing.T) {
 // trailing padding.
 func TestSaturationTableGoldenRendering(t *testing.T) {
 	long := core.DesignPoint{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3}
-	results := []core.PatternSweepResult{
+	results := []core.EnergySweepResult{
 		{Kind: "extremely-long-topology-name", Point: long, Pattern: "hotspot-memory-controllers",
-			Curve:          []noc.LoadPoint{{InjectionRate: 0.05, AvgLatencyClks: 23.4}},
+			Points:         []core.EnergyPoint{{Rate: 0.05, AvgLatencyClks: 23.4}},
 			SaturationRate: 0.35, Saturates: true},
 		{Kind: topology.Mesh, Point: core.DesignPoint{Base: tech.Electronic, Express: tech.Electronic, Hops: 0},
 			Pattern: "uniform",
-			Curve:   []noc.LoadPoint{{InjectionRate: 0.05, AvgLatencyClks: 123.4}}},
+			Points:  []core.EnergyPoint{{Rate: 0.05, AvgLatencyClks: 123.4}}},
 	}
 	want := strings.Join([]string{
 		"topology                      design point                  pattern                     zero-load (clk)  saturation (flits/clk)",

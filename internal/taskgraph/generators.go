@@ -133,12 +133,14 @@ func Generators() []Generator {
 }
 
 // ParseGenerators resolves a comma-separated list of registry names; the
-// single token "all" selects the whole registry.
+// single token "all" selects the whole registry. Duplicates are dropped,
+// keeping the first occurrence.
 func ParseGenerators(spec string) ([]Generator, error) {
 	if strings.EqualFold(strings.TrimSpace(spec), "all") {
 		return Generators(), nil
 	}
 	var out []Generator
+	seen := map[string]bool{}
 	for _, tok := range strings.Split(spec, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
@@ -148,7 +150,10 @@ func ParseGenerators(spec string) ([]Generator, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, g)
+		if !seen[g.Name()] {
+			seen[g.Name()] = true
+			out = append(out, g)
+		}
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("taskgraph: empty generator list %q (registered: %s, or \"all\")",

@@ -130,6 +130,10 @@ func TestLookupAndParse(t *testing.T) {
 	if err != nil || len(two) != 2 || two[0].Name() != "reduce" || two[1].Name() != "pipeline" {
 		t.Errorf("ParseGenerators list = %v, err %v", two, err)
 	}
+	dup, err := ParseGenerators("reduce,pipeline,Reduce")
+	if err != nil || len(dup) != 2 || dup[0].Name() != "reduce" || dup[1].Name() != "pipeline" {
+		t.Errorf("ParseGenerators with a repeat = %v, err %v; want [reduce pipeline]", dup, err)
+	}
 	if _, err := ParseGenerators(" , "); err == nil {
 		t.Error("ParseGenerators of empty list succeeded")
 	}

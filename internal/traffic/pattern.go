@@ -92,13 +92,15 @@ func Patterns() []Pattern {
 }
 
 // ParsePatterns resolves a comma-separated list of registry names; the
-// single token "all" selects the whole registry. Every error names the
-// registered patterns, so CLI users can self-serve from the message.
+// single token "all" selects the whole registry. Duplicates are dropped,
+// keeping the first occurrence. Every error names the registered
+// patterns, so CLI users can self-serve from the message.
 func ParsePatterns(spec string) ([]Pattern, error) {
 	if strings.EqualFold(strings.TrimSpace(spec), "all") {
 		return Patterns(), nil
 	}
 	var out []Pattern
+	seen := map[string]bool{}
 	for _, tok := range strings.Split(spec, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
@@ -108,7 +110,10 @@ func ParsePatterns(spec string) ([]Pattern, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, p)
+		if !seen[p.Name()] {
+			seen[p.Name()] = true
+			out = append(out, p)
+		}
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("traffic: empty pattern list %q (registered: %s, or \"all\")",

@@ -72,6 +72,11 @@ func TestParsePatterns(t *testing.T) {
 	if err != nil || len(two) != 2 || two[0].Name() != "tornado" || two[1].Name() != "transpose" {
 		t.Fatalf("ParsePatterns list broken: %v %v", two, err)
 	}
+	// Repeats (in any case) are dropped, keeping the first occurrence.
+	dup, err := ParsePatterns("uniform,tornado,UNIFORM,tornado")
+	if err != nil || len(dup) != 2 || dup[0].Name() != "uniform" || dup[1].Name() != "tornado" {
+		t.Errorf("ParsePatterns with repeats = %v, err %v; want [uniform tornado]", dup, err)
+	}
 	if _, err := ParsePatterns("tornado,bogus"); err == nil {
 		t.Error("bogus member must error")
 	}
