@@ -4,6 +4,9 @@
 #                        short, race-short, full tests
 #   make perfbench-build — vet and build the perfbench/ benchmark module (a
 #                        separate Go module root ./... does not reach)
+#   make perfbench-check — run every perfbench workload for one second and
+#                        fail unless it reports correct with no failures
+#                        (the seed-1 digests in perfbench/digests.json)
 #   make test          — full (non-short) test suite
 #   make short         — fast feedback loop (seconds, scaled-down workloads)
 #   make race          — race-enabled short suite (the concurrency gate)
@@ -37,7 +40,7 @@ GO ?= go
 # pinned baseline.
 BENCH_OUT ?= /tmp/hyppi-bench-current.txt
 
-.PHONY: ci vet perfbench-build test short race fmt-check bench bench-baseline bench-compare scale-smoke golden golden-serve golden-cli examples-smoke serve-smoke fault-smoke taskgraph-smoke telemetry-smoke
+.PHONY: ci vet perfbench-build perfbench-check test short race fmt-check bench bench-baseline bench-compare scale-smoke golden golden-serve golden-cli examples-smoke serve-smoke fault-smoke taskgraph-smoke telemetry-smoke
 
 # Ordered so the cheapest gates fail first: vet (seconds), the benchmark
 # module build (seconds), short (seconds), race-short (tens of seconds),
@@ -53,6 +56,23 @@ vet:
 # of the module directory.
 perfbench-build:
 	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+
+# The benchmark's correctness gate: each workload runs for one second at the
+# default seed, and its last output line must report "correct":true and
+# "failed":0 — which includes its digest matching perfbench/digests.json.
+# Result files land in the ignored .bench_build/.
+PERFBENCH_WORKLOADS = paper ladder serve collectives
+
+perfbench-check:
+	@set -e; for w in $(PERFBENCH_WORKLOADS); do \
+		echo "== perfbench -workload $$w"; \
+		last=$$(cd perfbench && $(GO) run . -workload $$w -seconds 1 -root .. | tail -n 1); \
+		echo "$$last"; \
+		case "$$last" in \
+		*'"correct":true'*'"failed":0,'*) ;; \
+		*) echo "perfbench-check: workload $$w is not correct"; exit 1 ;; \
+		esac; \
+	done
 
 test:
 	$(GO) test ./...

@@ -123,13 +123,18 @@ func TestRunRejectsIgnoredFlags(t *testing.T) {
 	}
 }
 
-// TestRunFlagErrors: a negative probe window is rejected; a switch given
-// as false counts as not given and conflicts with nothing.
+// TestRunFlagErrors: a negative probe window is rejected; a -grid whose
+// node count wraps around is rejected with an error instead of a panic; a
+// switch given as false counts as not given and conflicts with nothing.
 func TestRunFlagErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	err := run(strings.Fields("-pattern uniform -trace-out t.json -probe-window -5"), &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "-probe-window") {
 		t.Errorf("-probe-window -5: err = %v, want a -probe-window error", err)
+	}
+	err = run(strings.Fields("-pattern uniform -grid 6148914691236517206x3"), &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Errorf("-grid 6148914691236517206x3: err = %v, want an overflow error", err)
 	}
 	args := strings.Fields("-kernel LU -scale 0.004 -iterations 1 -csv=false -energy=false")
 	if err := run(args, &stdout, &stderr); err != nil {

@@ -93,7 +93,7 @@ func Evaluate(net *topology.Network, tab *routing.Table, tm *traffic.Matrix, p P
 	routerLoad := make([]float64, n)            // flit traversals/cycle per router
 
 	var latSum, rateSum, hopSum, expressFlits, totalFlitHops float64
-	row := make([]float64, n) // reusable per-source rate row (streamed matrices have no dense Rates)
+	row := make([]float64, n) // reusable per-source rate row (matrices stream rows on demand)
 	for s := 0; s < n; s++ {
 		src := topology.NodeID(s)
 		row = tm.Row(s, row)

@@ -254,21 +254,25 @@ func TestUtilizationBounds(t *testing.T) {
 func TestEvaluateErrors(t *testing.T) {
 	net := network(t, 0, tech.Electronic, tech.Electronic)
 	tab := routing.MustBuild(net, routing.MonotoneExpress)
-	if _, err := Evaluate(net, tab, traffic.NewMatrix(16), DefaultParams()); err == nil {
+	small := topology.DefaultConfig()
+	small.Width, small.Height = 4, 4
+	smallNet, err := topology.Build(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Evaluate(net, tab, traffic.MustSoteriou(smallNet, traffic.DefaultSoteriou()), DefaultParams()); err == nil {
 		t.Error("node-count mismatch must fail")
 	}
-	if _, err := Evaluate(net, tab, traffic.NewMatrix(256), DefaultParams()); err == nil {
+	tm := traffic.MustSoteriou(net, traffic.DefaultSoteriou())
+	if _, err := Evaluate(net, tab, tm.Scaled(0), DefaultParams()); err == nil {
 		t.Error("empty traffic must fail")
 	}
 	bad := DefaultParams()
 	bad.RouterPipelineClks = 0
-	tm := traffic.MustSoteriou(net, traffic.DefaultSoteriou())
 	if _, err := Evaluate(net, tab, tm, bad); err == nil {
 		t.Error("zero pipeline depth must fail")
 	}
-	m := traffic.NewMatrix(256)
-	m.Rates[3][3] = 1
-	if _, err := Evaluate(net, tab, m, DefaultParams()); err == nil {
+	if _, err := Evaluate(net, tab, tm.Scaled(-1), DefaultParams()); err == nil {
 		t.Error("invalid traffic matrix must fail")
 	}
 }

@@ -64,10 +64,13 @@ type EvalCellResult struct {
 
 // evalEnv is the shared, read-only per-(kind, geometry, point) fabric of
 // a batch — priced when any of its cells prices energy — or the error
-// resolving it.
+// resolving it. A pricing error is kept apart from the resolve error: only
+// the cells that price energy fail on it, so a latency-only cell answers
+// the same whether or not a batch neighbour prices its fabric.
 type evalEnv struct {
 	fabric
-	err error
+	err      error // resolving the fabric: fails every cell
+	priceErr error // pricing it: fails the Energy cells only
 }
 
 type evalEnvKey struct {
@@ -123,8 +126,11 @@ func EvalCells(ctx context.Context, cells []EvalCell, sc EnergySweepConfig, o Op
 			env.fabric, env.err = c.options(o).resolve(c.Point, false)
 			envs[key] = env
 		}
-		if c.Energy && env.err == nil && env.model == nil {
-			env.fabric, env.err = env.priced(o.DSENT)
+		if c.Energy && env.err == nil && env.priceErr == nil && env.model == nil {
+			var priced fabric
+			if priced, env.priceErr = env.priced(o.DSENT); env.priceErr == nil {
+				env.fabric = priced
+			}
 		}
 	}
 	sims := noc.NewSimPool()
@@ -143,6 +149,9 @@ func evalOneCell(c EvalCell, env *evalEnv, sc EnergySweepConfig, sims *noc.SimPo
 	}
 	if env.err != nil {
 		return fail(env.err)
+	}
+	if c.Energy && env.priceErr != nil {
+		return fail(env.priceErr)
 	}
 	var st noc.Stats
 	var sat bool

@@ -99,6 +99,36 @@ func TestEvalCellsErrorIsolation(t *testing.T) {
 	}
 }
 
+// TestEvalCellsPricingFailureIsolated: when pricing a shared fabric
+// fails, only the cells that want energy fail; a latency-only cell on the
+// same fabric answers exactly as it does alone.
+func TestEvalCellsPricingFailureIsolated(t *testing.T) {
+	o := DefaultOptions()
+	o.DSENT.FlitBits = 0 // the energy model rejects every fabric
+	sc := batchSweepConfig()
+	latency := EvalCell{Width: 4, Height: 4, Point: DesignPoint{Base: tech.Electronic, Express: tech.Electronic},
+		Pattern: mustPattern(t, "uniform"), Rate: 0.05}
+	priced := latency
+	priced.Energy = true
+	solo, err := EvalCells(context.Background(), []EvalCell{latency}, sc, o, runner.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solo[0].Err != nil {
+		t.Fatalf("latency-only cell fails alone: %v", solo[0].Err)
+	}
+	batched, err := EvalCells(context.Background(), []EvalCell{priced, latency}, sc, o, runner.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batched[0].Err == nil {
+		t.Error("energy cell must fail on the pricing error")
+	}
+	if !reflect.DeepEqual(batched[1], solo[0]) {
+		t.Errorf("latency-only cell: batched %+v != solo %+v", batched[1], solo[0])
+	}
+}
+
 // TestEvalCellsValidation covers the remaining per-cell error classes.
 func TestEvalCellsValidation(t *testing.T) {
 	plain := DesignPoint{Base: tech.Electronic, Express: tech.Electronic}

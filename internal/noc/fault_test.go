@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/routing"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 	"repro/internal/units"
 )
 
@@ -30,7 +29,7 @@ func faultTestNet(t *testing.T, w, h int) (*topology.Network, *routing.Table) {
 
 func faultTestPackets(t *testing.T, net *topology.Network, rate float64, cycles int64) []Packet {
 	t.Helper()
-	tm := traffic.Uniform(net, rate)
+	tm := uniformMatrix(t, net, rate)
 	pkts, err := BernoulliWorkload{SizeFlits: 1, Cycles: cycles, Seed: 7}.Generate(net, tm)
 	if err != nil {
 		t.Fatal(err)

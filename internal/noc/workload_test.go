@@ -20,8 +20,21 @@ func workloadNet(t testing.TB) (*topology.Network, *routing.Table, *traffic.Matr
 		t.Fatal(err)
 	}
 	tab := routing.MustBuild(net, routing.MonotoneExpress)
-	tm := traffic.Uniform(net, 0.1)
-	return net, tab, tm
+	return net, tab, uniformMatrix(t, net, 0.1)
+}
+
+// uniformMatrix generates the registry's uniform pattern on net at rate.
+func uniformMatrix(t testing.TB, net *topology.Network, rate float64) *traffic.Matrix {
+	t.Helper()
+	p, err := traffic.Lookup("uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := p.Generate(net, rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tm
 }
 
 // TestBernoulliRateMatchesMatrix: the generated flit volume approximates
@@ -78,11 +91,12 @@ func TestBernoulliValidation(t *testing.T) {
 	if _, err := (BernoulliWorkload{SizeFlits: 1, Cycles: 0}).Generate(net, tm); err == nil {
 		t.Error("zero cycles must fail")
 	}
-	if _, err := (BernoulliWorkload{SizeFlits: 1, Cycles: 10}).Generate(net, traffic.NewMatrix(4)); err == nil {
+	small, _ := smallMesh(t, 4, 4, 0)
+	if _, err := (BernoulliWorkload{SizeFlits: 1, Cycles: 10}).Generate(net, uniformMatrix(t, small, 0.1)); err == nil {
 		t.Error("size mismatch must fail")
 	}
 	// Rate above 1 packet/cycle is rejected.
-	hot := traffic.Uniform(net, 0.9)
+	hot := uniformMatrix(t, net, 0.9)
 	if _, err := (BernoulliWorkload{SizeFlits: 1, Cycles: 10, Seed: 1}).Generate(net, hot.Scaled(2)); err == nil {
 		t.Error("super-unit packet rate must fail")
 	}

@@ -260,7 +260,7 @@ func ProjectAllOptical(net *topology.Network, tab *routing.Table, tm *traffic.Ma
 
 	var eSum, wSum, lossSum, worst float64
 	n := net.NumNodes()
-	row := make([]float64, n) // reusable per-source rate row (streamed matrices have no dense Rates)
+	row := make([]float64, n) // reusable per-source rate row (matrices stream rows on demand)
 	for s := 0; s < n; s++ {
 		row = tm.Row(s, row)
 		for d := 0; d < n; d++ {

@@ -248,7 +248,7 @@ func TestProjectErrors(t *testing.T) {
 	if _, err := ProjectAllOptical(net, tab, tm, HyPPIRouter(), p, 50); err == nil {
 		t.Error("invalid params must fail")
 	}
-	if _, err := ProjectAllOptical(net, tab, traffic.NewMatrix(256), HyPPIRouter(), DefaultParams(), 50); err == nil {
+	if _, err := ProjectAllOptical(net, tab, tm.Scaled(0), HyPPIRouter(), DefaultParams(), 50); err == nil {
 		t.Error("empty traffic must fail")
 	}
 }

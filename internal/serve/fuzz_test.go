@@ -8,8 +8,9 @@ import (
 // FuzzRequestDecode drives arbitrary bytes through the JSON-lines decoder
 // and the canonicalizer: neither may panic, every rejection must be a
 // structured error with a stable code (naming the offending field for the
-// field-level classes), and canonicalization must be idempotent — the
-// property the cache key depends on.
+// field-level classes), every accepted grid must fit the node bound
+// without its Width×Height wrapping around, and canonicalization must be
+// idempotent — the property the cache key depends on.
 func FuzzRequestDecode(f *testing.F) {
 	seeds := []string{
 		`{"pattern":"uniform","load":0.05}`,
@@ -36,6 +37,7 @@ func FuzzRequestDecode(f *testing.F) {
 		`"pattern"`,
 		``,
 		"\x00\xff{",
+		`{"width":6148914691236517206,"height":3,"pattern":"uniform","load":0.1}`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -78,6 +80,10 @@ func FuzzRequestDecode(f *testing.F) {
 				t.Fatalf("validation rejection must name the bad field: %+v", cErr)
 			}
 			return
+		}
+		// Accepted grids fit the node bound without wrapping around.
+		if canon.Height < 1 || canon.Width > DefaultMaxNodes/canon.Height {
+			t.Fatalf("accepted grid %dx%d exceeds the %d-node bound", canon.Width, canon.Height, DefaultMaxNodes)
 		}
 		// Accepted requests canonicalize idempotently to a stable key.
 		again, cErr := canon.Canonical(DefaultMaxNodes)

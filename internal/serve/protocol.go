@@ -237,7 +237,11 @@ func (r Request) Canonical(maxNodes int) (Request, *Error) {
 		}
 		return c, errf(CodeBadGeometry, field, "grid %dx%d too small", c.Width, c.Height)
 	}
-	if maxNodes > 0 && c.Width*c.Height > maxNodes {
+	if c.Width > math.MaxInt/c.Height {
+		return c, errf(CodeBadGeometry, "width",
+			"grid %dx%d overflows the node count", c.Width, c.Height)
+	}
+	if maxNodes > 0 && c.Width > maxNodes/c.Height {
 		return c, errf(CodeBadGeometry, "width",
 			"grid %dx%d exceeds the server's %d-node bound", c.Width, c.Height, maxNodes)
 	}

@@ -16,6 +16,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/tech"
@@ -129,6 +130,9 @@ func (c Config) Validate() error {
 	spec, err := LookupKind(string(c.Kind))
 	if err != nil {
 		return err
+	}
+	if c.Width >= 1 && c.Height >= 1 && c.Width > math.MaxInt/c.Height {
+		return fmt.Errorf("topology: %v grid %dx%d overflows the node count", c.Kind, c.Width, c.Height)
 	}
 	if c.Width < 1 || c.Height < 1 || c.Width*c.Height < 2 {
 		return fmt.Errorf("topology: %v grid %dx%d too small", c.Kind, c.Width, c.Height)

@@ -112,14 +112,15 @@ func TestPermutationGolden4x4(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		rows := denseRows(m)
 		for s := 0; s < 16; s++ {
 			for d := 0; d < 16; d++ {
 				wantRate := 0.0
 				if want[s] == d {
 					wantRate = rate
 				}
-				if m.Rate(s, d) != wantRate {
-					t.Errorf("%s: rate[%d][%d] = %v, want %v", name, s, d, m.Rate(s, d), wantRate)
+				if rows[s][d] != wantRate {
+					t.Errorf("%s: rate[%d][%d] = %v, want %v", name, s, d, rows[s][d], wantRate)
 				}
 			}
 		}
@@ -134,14 +135,15 @@ func TestUniformGolden4x4(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 0.3 / 15
+	rows := denseRows(m)
 	for s := 0; s < 16; s++ {
 		for d := 0; d < 16; d++ {
 			wantRate := want
 			if s == d {
 				wantRate = 0
 			}
-			if !units.ApproxEqual(m.Rate(s, d), wantRate, 1e-12) {
-				t.Fatalf("uniform rate[%d][%d] = %v, want %v", s, d, m.Rate(s, d), wantRate)
+			if !units.ApproxEqual(rows[s][d], wantRate, 1e-12) {
+				t.Fatalf("uniform rate[%d][%d] = %v, want %v", s, d, rows[s][d], wantRate)
 			}
 		}
 	}
@@ -154,25 +156,26 @@ func TestNeighborGolden4x4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := denseRows(m)
 	// Corner (0,0): two neighbors at rate/2.
-	if got := m.Rate(0, 1); !units.ApproxEqual(got, 0.06, 1e-12) {
+	if got := rows[0][1]; !units.ApproxEqual(got, 0.06, 1e-12) {
 		t.Errorf("corner east rate = %v, want 0.06", got)
 	}
-	if got := m.Rate(0, 4); !units.ApproxEqual(got, 0.06, 1e-12) {
+	if got := rows[0][4]; !units.ApproxEqual(got, 0.06, 1e-12) {
 		t.Errorf("corner south rate = %v, want 0.06", got)
 	}
 	// Edge (1,0): three neighbors at rate/3.
-	if got := m.Rate(1, 2); !units.ApproxEqual(got, 0.04, 1e-12) {
+	if got := rows[1][2]; !units.ApproxEqual(got, 0.04, 1e-12) {
 		t.Errorf("edge rate = %v, want 0.04", got)
 	}
 	// Interior (1,1) = node 5: four neighbors at rate/4.
 	for _, d := range []int{4, 6, 1, 9} {
-		if got := m.Rate(5, d); !units.ApproxEqual(got, 0.03, 1e-12) {
+		if got := rows[5][d]; !units.ApproxEqual(got, 0.03, 1e-12) {
 			t.Errorf("interior rate[5][%d] = %v, want 0.03", d, got)
 		}
 	}
 	// Nothing beyond distance 1.
-	if m.Rate(5, 7) != 0 || m.Rate(0, 5) != 0 {
+	if rows[5][7] != 0 || rows[0][5] != 0 {
 		t.Error("neighbor pattern must not reach past distance 1")
 	}
 }
@@ -188,6 +191,7 @@ func TestHotspotGolden4x4(t *testing.T) {
 	center := int(net.Node(2, 2)) // node 10
 	uniform := rate * (1 - DefaultHotspotFraction) / 15
 	hot := uniform + rate*DefaultHotspotFraction
+	rows := denseRows(m)
 	for s := 0; s < 16; s++ {
 		if s == center {
 			// The hot node itself spreads everything uniformly.
@@ -196,8 +200,8 @@ func TestHotspotGolden4x4(t *testing.T) {
 				if d == s {
 					want = 0
 				}
-				if !units.ApproxEqual(m.Rate(s, d), want, 1e-12) {
-					t.Fatalf("hotspot rate[center][%d] = %v, want %v", d, m.Rate(s, d), want)
+				if !units.ApproxEqual(rows[s][d], want, 1e-12) {
+					t.Fatalf("hotspot rate[center][%d] = %v, want %v", d, rows[s][d], want)
 				}
 			}
 			continue
@@ -210,8 +214,8 @@ func TestHotspotGolden4x4(t *testing.T) {
 			case d == center:
 				want = hot
 			}
-			if !units.ApproxEqual(m.Rate(s, d), want, 1e-12) {
-				t.Fatalf("hotspot rate[%d][%d] = %v, want %v", s, d, m.Rate(s, d), want)
+			if !units.ApproxEqual(rows[s][d], want, 1e-12) {
+				t.Fatalf("hotspot rate[%d][%d] = %v, want %v", s, d, rows[s][d], want)
 			}
 		}
 	}
@@ -242,10 +246,12 @@ func TestPatternProperties(t *testing.T) {
 				continue
 			}
 			seen := map[int]bool{}
+			row := make([]float64, m.N)
 			for s := 0; s < m.N; s++ {
+				row = m.Row(s, row)
 				var dests []int
-				for d := 0; d < m.N; d++ {
-					if m.Rate(s, d) != 0 {
+				for d, v := range row {
+					if v != 0 {
 						dests = append(dests, d)
 					}
 				}
@@ -253,8 +259,8 @@ func TestPatternProperties(t *testing.T) {
 					t.Errorf("%s on %dx%d: source %d has %d destinations", p.Name(), g[0], g[1], s, len(dests))
 				}
 				if len(dests) == 1 {
-					if m.Rate(s, dests[0]) != rate {
-						t.Errorf("%s: split rate %v at source %d", p.Name(), m.Rate(s, dests[0]), s)
+					if row[dests[0]] != rate {
+						t.Errorf("%s: split rate %v at source %d", p.Name(), row[dests[0]], s)
 					}
 					if seen[dests[0]] {
 						t.Errorf("%s on %dx%d: destination %d reused", p.Name(), g[0], g[1], dests[0])
@@ -327,39 +333,8 @@ func TestHotspotValidation(t *testing.T) {
 		}
 	}
 	// Source 0 is hot: its whole hot share lands on node 15.
-	if got, want := m.Rate(0, 15), 0.2*0.5/1+0.2*0.5/15; !units.ApproxEqual(got, want, 1e-12) {
+	if got, want := m.Row(0, nil)[15], 0.2*0.5/1+0.2*0.5/15; !units.ApproxEqual(got, want, 1e-12) {
 		t.Errorf("hot source rate[0][15] = %v, want %v", got, want)
-	}
-}
-
-// TestConstructorsMatchRegistry: the legacy convenience constructors and
-// the registry patterns must agree entry for entry.
-func TestConstructorsMatchRegistry(t *testing.T) {
-	net := grid(t, 8, 8)
-	cases := []struct {
-		name string
-		m    *Matrix
-	}{
-		{"uniform", Uniform(net, 0.1)},
-		{"transpose", Transpose(net, 0.1)},
-		{"bitcomp", BitComplement(net, 0.1)},
-	}
-	for _, c := range cases {
-		p, err := Lookup(c.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := p.Generate(net, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := 0; s < want.N; s++ {
-			for d := 0; d < want.N; d++ {
-				if c.m.Rate(s, d) != want.Rate(s, d) {
-					t.Fatalf("%s: constructor and registry diverge at [%d][%d]", c.name, s, d)
-				}
-			}
-		}
 	}
 }
 

@@ -1,27 +1,25 @@
-// Streamed traffic matrices: the on-demand Rate(src,dst) form of Matrix.
+// Streamed traffic generators: the closed forms behind every Matrix.
 //
 // Every synthetic pattern (the registry's permutations, uniform, neighbor,
 // hotspot and the Soteriou statistical model) is defined by a closed-form
 // generator, so materializing n² entries is pure overhead — at 64×64 one
-// dense matrix is 134 MB, at 256×256 it is 34 GB. A streamed Matrix keeps
-// the generator plus O(n) derived state (per-row sums) and computes entries
-// on demand.
+// n² matrix is 134 MB, at 256×256 it is 34 GB. A Matrix keeps the
+// generator plus O(n) derived state (per-row sums) and computes rows on
+// demand.
 //
-// Bit-exactness contract: a streamed matrix is indistinguishable from the
-// dense matrix the same generator used to materialize — Rate, Row, RowSum,
-// MaxRowSum, MeanRowSum and Scaled reproduce the dense values bit-for-bit.
-// Two rules make that hold:
+// Bit-exactness contract: Row, RowSum, MaxRowSum, MeanRowSum and Scaled
+// reproduce bit-for-bit the values of the n² matrix the same generator
+// historically materialized. Two rules make that hold:
 //
-//   - entries are always computed as base×scale, the same single multiply
-//     the dense Scaled applied to each materialized entry;
-//   - row sums replay the dense left-to-right summation order. Skipped
-//     zero entries are exact no-ops (x + 0.0 == x), so generators whose
-//     rows are mostly zero (permutations, neighbor) may sum only the
-//     populated entries in ascending-destination order.
+//   - entries are always computed as base×scale, a single multiply per
+//     entry, the same one the historical n² Scaled applied;
+//   - row sums replay the left-to-right summation order of the scaled
+//     row. Skipped zero entries are exact no-ops (x + 0.0 == x), so
+//     generators whose rows are mostly zero (permutations, neighbor) may
+//     sum only the populated entries in ascending-destination order.
 package traffic
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/topology"
@@ -31,8 +29,6 @@ import (
 // description of the unscaled rate matrix. Implementations must be safe for
 // concurrent use (sweep jobs share matrices read-only).
 type generator interface {
-	// rate returns the unscaled entry (s, d), s != d.
-	rate(s, d int) float64
 	// fillRow writes the unscaled row s into dst[0:n], including the zero
 	// diagonal entry.
 	fillRow(s int, dst []float64)
@@ -50,8 +46,8 @@ func newStreamed(n int, g generator, scale float64) *Matrix {
 }
 
 // sumRows is the generic row-sum fallback: materialize each row into a
-// scratch buffer and sum it left to right at the scale — exactly what the
-// dense RowSum did, in O(n) transient memory.
+// scratch buffer and sum it left to right at the scale, in O(n) transient
+// memory.
 func sumRows(g generator, n int, scale float64, dst []float64) {
 	row := make([]float64, n)
 	for s := range dst {
@@ -69,8 +65,6 @@ type uniformGen struct {
 	n   int
 	per float64
 }
-
-func (g uniformGen) rate(s, d int) float64 { return g.per }
 
 func (g uniformGen) fillRow(s int, dst []float64) {
 	for d := 0; d < g.n; d++ {
@@ -103,13 +97,6 @@ type permGen struct {
 	to   []int32 // to[s] is the image of s (may equal s: silent)
 }
 
-func (g *permGen) rate(s, d int) float64 {
-	if int(g.to[s]) == d {
-		return g.peak
-	}
-	return 0
-}
-
 func (g *permGen) fillRow(s int, dst []float64) {
 	for d := range dst[:g.n] {
 		dst[d] = 0
@@ -139,7 +126,7 @@ type neighborGen struct {
 }
 
 // neighbors fills buf with node s's grid neighbors in the fixed W/E/N/S
-// probe order of the dense generator and returns the count.
+// probe order and returns the count.
 func (g *neighborGen) neighbors(s int, buf *[4]int32) int {
 	net := g.net
 	src := topology.NodeID(s)
@@ -152,17 +139,6 @@ func (g *neighborGen) neighbors(s int, buf *[4]int32) int {
 		}
 	}
 	return k
-}
-
-func (g *neighborGen) rate(s, d int) float64 {
-	var buf [4]int32
-	k := g.neighbors(s, &buf)
-	for _, nb := range buf[:k] {
-		if int(nb) == d {
-			return g.peak / float64(k)
-		}
-	}
-	return 0
 }
 
 func (g *neighborGen) fillRow(s int, dst []float64) {
@@ -201,8 +177,8 @@ type hotspotGen struct {
 	isHot    []bool
 }
 
-// split returns row s's uniform background and per-hot-destination extra,
-// replicating the dense generator's only-hot-node fallback.
+// split returns row s's uniform background and per-hot-destination extra;
+// a source that is the only hot node spreads its whole rate uniformly.
 func (g *hotspotGen) split(s int) (uniform, hotPer float64) {
 	targets := 0
 	for _, d := range g.hot {
@@ -217,15 +193,6 @@ func (g *hotspotGen) split(s int) (uniform, hotPer float64) {
 		uniform = g.peak / float64(g.n-1)
 	}
 	return uniform, hotPer
-}
-
-func (g *hotspotGen) rate(s, d int) float64 {
-	uniform, hotPer := g.split(s)
-	v := uniform
-	if g.isHot[d] {
-		v += hotPer
-	}
-	return v
 }
 
 func (g *hotspotGen) fillRow(s int, dst []float64) {
@@ -260,7 +227,7 @@ type soteriouGen struct {
 
 // rowInto writes the unscaled row s into dst using the caller's histogram
 // scratch — the exact computation (and float expression order) of the
-// historical dense builder.
+// historical n² builder, which stream_test.go keeps as the oracle.
 func (g *soteriouGen) rowInto(s int, dst []float64, counts []int, hopW []float64) {
 	net := g.net
 	src := topology.NodeID(s)
@@ -300,12 +267,6 @@ func (g *soteriouGen) fillRow(s int, dst []float64) {
 	g.rowInto(s, dst, make([]int, g.maxDist), make([]float64, g.maxDist))
 }
 
-func (g *soteriouGen) rate(s, d int) float64 {
-	row := make([]float64, g.n)
-	g.fillRow(s, row)
-	return row[d]
-}
-
 func (g *soteriouGen) rowSums(scale float64, dst []float64) {
 	row := make([]float64, g.n)
 	counts := make([]int, g.maxDist)
@@ -318,22 +279,4 @@ func (g *soteriouGen) rowSums(scale float64, dst []float64) {
 		}
 		dst[s] = sum
 	}
-}
-
-// validateStreamed checks a streamed matrix's O(n) derived state; the
-// entries themselves are valid by construction (generators are pure
-// closed forms over validated inputs).
-func (m *Matrix) validateStreamed() error {
-	if len(m.rowSums) != m.N {
-		return fmt.Errorf("traffic: %d row sums for N=%d", len(m.rowSums), m.N)
-	}
-	if m.scale < 0 || math.IsNaN(m.scale) || math.IsInf(m.scale, 0) {
-		return fmt.Errorf("traffic: matrix scale %v", m.scale)
-	}
-	for s, v := range m.rowSums {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("traffic: row %d sum %v", s, v)
-		}
-	}
-	return nil
 }

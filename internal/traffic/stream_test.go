@@ -3,14 +3,15 @@ package traffic
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/topology"
 )
 
-// denseSoteriouReference is the historical dense Soteriou builder, kept
+// denseSoteriouReference is the historical n² Soteriou builder, kept
 // verbatim as the bit-exactness oracle for the streamed implementation.
-func denseSoteriouReference(t *testing.T, net *topology.Network, cfg SoteriouConfig) *Matrix {
+func denseSoteriouReference(t *testing.T, net *topology.Network, cfg SoteriouConfig) [][]float64 {
 	t.Helper()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -30,11 +31,12 @@ func denseSoteriouReference(t *testing.T, net *topology.Network, cfg SoteriouCon
 	if maxLevel == 0 {
 		t.Fatal("degenerate draw")
 	}
-	m := NewMatrix(n)
+	m := make([][]float64, n)
 	maxDist := net.Width + net.Height
 	counts := make([]int, maxDist)
 	hopW := make([]float64, maxDist)
 	for s := 0; s < n; s++ {
+		m[s] = make([]float64, n)
 		src := topology.NodeID(s)
 		for h := range counts {
 			counts[h] = 0
@@ -61,64 +63,93 @@ func denseSoteriouReference(t *testing.T, net *topology.Network, cfg SoteriouCon
 				continue
 			}
 			h := net.Distance(src, topology.NodeID(d))
-			m.Rates[s][d] = rate * hopW[h] / totalW / float64(counts[h])
+			m[s][d] = rate * hopW[h] / totalW / float64(counts[h])
 		}
 	}
 	return m
 }
 
-// densify materializes any matrix through the Rate accessor.
-func densify(m *Matrix) *Matrix {
-	out := NewMatrix(m.N)
-	for s := 0; s < m.N; s++ {
-		for d := 0; d < m.N; d++ {
-			out.Rates[s][d] = m.Rate(s, d)
+// denseRows materializes every row of m into its own fresh buffer.
+func denseRows(m *Matrix) [][]float64 {
+	out := make([][]float64, m.N)
+	for s := range out {
+		out[s] = m.Row(s, nil)
+	}
+	return out
+}
+
+// denseRowSum sums a row left to right, as the historical n² RowSum did.
+func denseRowSum(row []float64) float64 {
+	var sum float64
+	for _, v := range row {
+		sum += v
+	}
+	return sum
+}
+
+// denseMaxRowSum is the highest left-to-right row sum.
+func denseMaxRowSum(rows [][]float64) float64 {
+	var max float64
+	for _, row := range rows {
+		if r := denseRowSum(row); r > max {
+			max = r
+		}
+	}
+	return max
+}
+
+// denseScaled multiplies every entry once by f, as the historical n²
+// Scaled did.
+func denseScaled(rows [][]float64, f float64) [][]float64 {
+	out := make([][]float64, len(rows))
+	for s, row := range rows {
+		out[s] = make([]float64, len(row))
+		for d, v := range row {
+			out[s][d] = v * f
 		}
 	}
 	return out
 }
 
+// requireRowsEqual fails unless m's rows, row sums and max row sum are
+// bit-identical to the dense reference.
+func requireRowsEqual(t *testing.T, name string, m *Matrix, dense [][]float64) {
+	t.Helper()
+	row := make([]float64, m.N)
+	for s := range dense {
+		row = m.Row(s, row)
+		for d, want := range dense[s] {
+			if row[d] != want {
+				t.Fatalf("%s: entry [%d][%d] = %v, dense reference %v", name, s, d, row[d], want)
+			}
+		}
+		if got, want := m.RowSum(s), denseRowSum(dense[s]); got != want {
+			t.Fatalf("%s: row sum %d = %v, dense reference %v", name, s, got, want)
+		}
+	}
+	if got, want := m.MaxRowSum(), denseMaxRowSum(dense); got != want {
+		t.Fatalf("%s: max row sum %v, dense reference %v", name, got, want)
+	}
+}
+
 // TestSoteriouStreamedBitIdentical: the streamed Soteriou matches the
-// historical dense builder bit for bit — entries, row sums, and one
-// ScaledToMaxRate step (the sweep idiom).
+// historical n² builder bit for bit — entries, row sums, max row sum, and
+// one ScaledToMaxRate step (the sweep idiom).
 func TestSoteriouStreamedBitIdentical(t *testing.T) {
 	net := mesh(t)
 	cfg := DefaultSoteriou()
 	streamed := MustSoteriou(net, cfg)
-	if !streamed.Streamed() {
-		t.Fatal("Soteriou must produce a streamed matrix")
-	}
 	dense := denseSoteriouReference(t, net, cfg)
-	for s := 0; s < dense.N; s++ {
-		for d := 0; d < dense.N; d++ {
-			if got, want := streamed.Rate(s, d), dense.Rates[s][d]; got != want {
-				t.Fatalf("entry [%d][%d] = %v, dense reference %v", s, d, got, want)
-			}
-		}
-		if got, want := streamed.RowSum(s), dense.RowSum(s); got != want {
-			t.Fatalf("row sum %d = %v, dense reference %v", s, got, want)
-		}
-	}
-	if got, want := streamed.MaxRowSum(), dense.MaxRowSum(); got != want {
-		t.Fatalf("max row sum %v, dense %v", got, want)
-	}
-	sS, sD := streamed.ScaledToMaxRate(0.05), dense.ScaledToMaxRate(0.05)
-	for s := 0; s < dense.N; s++ {
-		for d := 0; d < dense.N; d++ {
-			if got, want := sS.Rate(s, d), sD.Rates[s][d]; got != want {
-				t.Fatalf("scaled entry [%d][%d] = %v, dense %v", s, d, got, want)
-			}
-		}
-		if got, want := sS.RowSum(s), sD.RowSum(s); got != want {
-			t.Fatalf("scaled row sum %d = %v, dense %v", s, got, want)
-		}
-	}
+	requireRowsEqual(t, "soteriou", streamed, dense)
+	requireRowsEqual(t, "scaled soteriou", streamed.ScaledToMaxRate(0.05),
+		denseScaled(dense, 0.05/denseMaxRowSum(dense)))
 }
 
 // TestStreamedAccessorsConsistent: for every registry pattern (and
-// Soteriou) on square and rectangular grids, the streamed accessors agree
-// among themselves and with a densified copy — Rate vs Row entries, and
-// RowSum bit-identical to a left-to-right dense row sum.
+// Soteriou) on square and rectangular grids, the accessors agree among
+// themselves — Row into a reused dirty buffer matches Row into a fresh
+// one, RowSum is bit-identical to a left-to-right row sum, and one
+// scaling step is bit-identical to scaling each entry once.
 func TestStreamedAccessorsConsistent(t *testing.T) {
 	for _, g := range [][2]int{{4, 4}, {8, 8}, {5, 3}} {
 		net := grid(t, g[0], g[1])
@@ -131,48 +162,38 @@ func TestStreamedAccessorsConsistent(t *testing.T) {
 			mats[p.Name()] = m
 		}
 		for name, m := range mats {
-			if !m.Streamed() {
-				t.Fatalf("%s on %dx%d: expected streamed matrix", name, g[0], g[1])
+			dense := denseRows(m)
+			// A reused buffer full of stale garbage must be overwritten
+			// entirely, diagonal included.
+			dirty := make([]float64, m.N)
+			for i := range dirty {
+				dirty[i] = math.NaN()
 			}
-			dense := densify(m)
-			row := make([]float64, m.N)
 			for s := 0; s < m.N; s++ {
-				row = m.Row(s, row)
-				for d := 0; d < m.N; d++ {
-					if row[d] != dense.Rates[s][d] {
-						t.Fatalf("%s: Row/Rate diverge at [%d][%d]: %v vs %v",
-							name, s, d, row[d], dense.Rates[s][d])
+				dirty = m.Row(s, dirty)
+				for d := range dirty {
+					if dirty[d] != dense[s][d] {
+						t.Fatalf("%s: reused Row diverges at [%d][%d]: %v vs %v",
+							name, s, d, dirty[d], dense[s][d])
 					}
+					dirty[d] = math.NaN()
 				}
-				if got, want := m.RowSum(s), dense.RowSum(s); got != want {
-					t.Fatalf("%s: RowSum(%d) = %v, dense %v", name, s, got, want)
+				if dense[s][s] != 0 {
+					t.Fatalf("%s: self traffic %v at node %d", name, dense[s][s], s)
 				}
 			}
-			if got, want := m.MaxRowSum(), dense.MaxRowSum(); got != want {
-				t.Fatalf("%s: MaxRowSum %v, dense %v", name, got, want)
-			}
+			requireRowsEqual(t, name, m, dense)
 			if err := m.Validate(); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			// One scaling step stays bit-identical to scaling the dense copy.
-			mS, dS := m.Scaled(0.37), dense.Scaled(0.37)
-			for s := 0; s < m.N; s++ {
-				rowS := mS.Row(s, row)
-				for d := 0; d < m.N; d++ {
-					if rowS[d] != dS.Rates[s][d] {
-						t.Fatalf("%s: scaled diverges at [%d][%d]", name, s, d)
-					}
-				}
-				if mS.RowSum(s) != dS.RowSum(s) {
-					t.Fatalf("%s: scaled RowSum(%d) diverges", name, s)
-				}
-			}
+			requireRowsEqual(t, name+" scaled", m.Scaled(0.37), denseScaled(dense, 0.37))
 		}
 	}
 }
 
-// TestStreamedMemoryStaysLinear: generating big patterns must not
-// materialize n² entries — the whole point of the streamed form.
+// TestStreamedMemoryStaysLinear: generating, scaling and validating every
+// pattern (and Soteriou) at 64×64 must not allocate anything near the
+// 134 MB an n² matrix would take.
 func TestStreamedMemoryStaysLinear(t *testing.T) {
 	c := topology.DefaultConfig()
 	c.Width, c.Height = 64, 64
@@ -180,19 +201,30 @@ func TestStreamedMemoryStaysLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range Patterns() {
-		m, err := p.Generate(net, 0.1)
+	// Far above the O(n) state every generator keeps, far below n² floats.
+	limit := uint64(64 * net.NumNodes() * 8)
+	check := func(name string, gen func() (*Matrix, error)) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := gen()
 		if err != nil {
-			t.Fatalf("%s must support 64x64: %v", p.Name(), err)
+			t.Fatalf("%s must support 64x64: %v", name, err)
 		}
-		if m.Rates != nil {
-			t.Errorf("%s materialized a dense 64x64 matrix", p.Name())
+		scaled := m.ScaledToMaxRate(0.01)
+		runtime.ReadMemStats(&after)
+		if err := m.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
-		if got := m.ScaledToMaxRate(0.01); got.Rates != nil {
-			t.Errorf("%s: scaling densified the matrix", p.Name())
+		if err := scaled.Validate(); err != nil {
+			t.Errorf("%s scaled: %v", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("%s: generating and scaling allocated %d bytes, want ≤ %d", name, got, limit)
 		}
 	}
-	if m := MustSoteriou(net, DefaultSoteriou()); m.Rates != nil {
-		t.Error("Soteriou materialized a dense 64x64 matrix")
+	for _, p := range Patterns() {
+		check(p.Name(), func() (*Matrix, error) { return p.Generate(net, 0.1) })
 	}
+	check("soteriou", func() (*Matrix, error) { return Soteriou(net, DefaultSoteriou()) })
 }

@@ -30,45 +30,15 @@ import (
 
 // Matrix is a source×destination rate matrix in flits per cycle.
 //
-// It comes in two forms. A dense matrix (NewMatrix) materializes all n²
-// entries in Rates and may be mutated in place. A streamed matrix (what
-// every registry pattern and Soteriou produce) keeps a closed-form
-// generator plus O(n) row sums and computes entries on demand; Rates is
-// nil. Both forms answer the same accessors — Rate, Row, RowSum, Scaled —
-// with bit-identical values, so consumers iterate rows through Row instead
-// of indexing Rates directly.
+// Every matrix (each registry pattern and Soteriou) is streamed: it keeps a
+// closed-form generator plus O(n) row sums and computes entries on demand,
+// so consumers iterate rows through Row instead of holding n² entries.
 type Matrix struct {
 	N int
-	// Rates is the dense entry storage; nil for streamed matrices.
-	Rates [][]float64
 
-	gen     generator // streamed backend (nil when dense)
-	scale   float64   // streamed: multiplier applied to every generator entry
-	rowSums []float64 // streamed: per-row sums at the current scale
-}
-
-// NewMatrix allocates an all-zero dense N×N matrix.
-func NewMatrix(n int) *Matrix {
-	r := make([][]float64, n)
-	backing := make([]float64, n*n)
-	for i := range r {
-		r[i], backing = backing[:n], backing[n:]
-	}
-	return &Matrix{N: n, Rates: r}
-}
-
-// Streamed reports whether the matrix is the O(n)-memory on-demand form.
-func (m *Matrix) Streamed() bool { return m.gen != nil }
-
-// Rate returns entry (s, d) in flits/cycle.
-func (m *Matrix) Rate(s, d int) float64 {
-	if m.gen == nil {
-		return m.Rates[s][d]
-	}
-	if s == d {
-		return 0
-	}
-	return m.gen.rate(s, d) * m.scale
+	gen     generator // closed-form backend
+	scale   float64   // multiplier applied to every generator entry
+	rowSums []float64 // per-row sums at the current scale
 }
 
 // Row materializes row s into dst (reallocated when too small) and returns
@@ -80,10 +50,6 @@ func (m *Matrix) Row(s int, dst []float64) []float64 {
 		dst = make([]float64, m.N)
 	}
 	dst = dst[:m.N]
-	if m.gen == nil {
-		copy(dst, m.Rates[s])
-		return dst
-	}
 	m.gen.fillRow(s, dst)
 	if m.scale != 1 {
 		for i := range dst {
@@ -94,16 +60,7 @@ func (m *Matrix) Row(s int, dst []float64) []float64 {
 }
 
 // RowSum returns the total injection rate of source s in flits/cycle.
-func (m *Matrix) RowSum(s int) float64 {
-	if m.gen != nil {
-		return m.rowSums[s]
-	}
-	var sum float64
-	for _, v := range m.Rates[s] {
-		sum += v
-	}
-	return sum
-}
+func (m *Matrix) RowSum(s int) float64 { return m.rowSums[s] }
 
 // MaxRowSum returns the highest per-node injection rate — the paper's
 // "injection rate" knob.
@@ -127,20 +84,11 @@ func (m *Matrix) MeanRowSum() float64 {
 }
 
 // Scaled returns a copy of the matrix with every rate multiplied by f.
-// Scaling a streamed matrix stays streamed: the multiplier folds into the
-// matrix's scale, so one Scaled/ScaledToMaxRate step from a generated
-// matrix (the sweep idiom) reproduces the dense entries bit-for-bit.
+// The multiplier folds into the matrix's scale, so one Scaled or
+// ScaledToMaxRate step from a generated matrix (the sweep idiom) multiplies
+// each generator entry exactly once.
 func (m *Matrix) Scaled(f float64) *Matrix {
-	if m.gen != nil {
-		return newStreamed(m.N, m.gen, m.scale*f)
-	}
-	out := NewMatrix(m.N)
-	for s := range m.Rates {
-		for d, v := range m.Rates[s] {
-			out.Rates[s][d] = v * f
-		}
-	}
-	return out
+	return newStreamed(m.N, m.gen, m.scale*f)
 }
 
 // ScaledToMaxRate returns a copy rescaled so MaxRowSum equals rate: the
@@ -153,27 +101,19 @@ func (m *Matrix) ScaledToMaxRate(rate float64) *Matrix {
 	return m.Scaled(rate / max)
 }
 
-// Validate checks matrix invariants: square, non-negative, no self traffic.
-// Streamed matrices validate their O(n) derived state only — the entries
-// are valid by construction.
+// Validate checks the matrix's O(n) derived state: a finite non-negative
+// scale and row sums. The entries themselves are valid by construction
+// (generators are pure closed forms over validated inputs).
 func (m *Matrix) Validate() error {
-	if m.gen != nil {
-		return m.validateStreamed()
+	if len(m.rowSums) != m.N {
+		return fmt.Errorf("traffic: %d row sums for N=%d", len(m.rowSums), m.N)
 	}
-	if len(m.Rates) != m.N {
-		return fmt.Errorf("traffic: %d rows for N=%d", len(m.Rates), m.N)
+	if m.scale < 0 || math.IsNaN(m.scale) || math.IsInf(m.scale, 0) {
+		return fmt.Errorf("traffic: matrix scale %v", m.scale)
 	}
-	for s, row := range m.Rates {
-		if len(row) != m.N {
-			return fmt.Errorf("traffic: row %d has %d cols", s, len(row))
-		}
-		for d, v := range row {
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("traffic: rate[%d][%d] = %v", s, d, v)
-			}
-			if s == d && v != 0 {
-				return fmt.Errorf("traffic: self traffic at node %d", s)
-			}
+	for s, v := range m.rowSums {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("traffic: row %d sum %v", s, v)
 		}
 	}
 	return nil
@@ -226,7 +166,7 @@ func (c SoteriouConfig) Validate() error {
 // |N(0, σ)| clamped to 1, scaled so the maximum equals MaxInjectionRate.
 //
 // The result is streamed — O(n) memory, entries computed on demand — and
-// bit-identical to the dense matrix this function historically built.
+// bit-identical to the n² matrix this function historically materialized.
 func Soteriou(net *topology.Network, cfg SoteriouConfig) (*Matrix, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -270,33 +210,6 @@ func MustSoteriou(net *topology.Network, cfg SoteriouConfig) *Matrix {
 	if err != nil {
 		panic(err)
 	}
-	return m
-}
-
-// Uniform builds uniform-random traffic: every node injects `rate`
-// flits/cycle spread evenly over all other nodes. It is the registry's
-// "uniform" pattern (see Pattern) kept as a convenience constructor.
-func Uniform(net *topology.Network, rate float64) *Matrix {
-	m, _ := genUniform(net, rate) // cannot fail
-	return m
-}
-
-// Transpose builds the matrix-transpose permutation: node (x,y) sends all
-// its traffic to (y,x). Nodes on the diagonal stay silent. It is the
-// registry's "transpose" pattern and panics on a non-square grid; use
-// Lookup("transpose") for error handling.
-func Transpose(net *topology.Network, rate float64) *Matrix {
-	m, err := genTranspose(net, rate)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// BitComplement builds the bit-complement permutation: node i sends to
-// node (N-1-i). It is the registry's "bitcomp" pattern.
-func BitComplement(net *topology.Network, rate float64) *Matrix {
-	m, _ := genBitComplement(net, rate) // cannot fail
 	return m
 }
 

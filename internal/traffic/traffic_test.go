@@ -18,6 +18,20 @@ func mesh(t testing.TB) *topology.Network {
 	return n
 }
 
+// generate builds registry pattern name on net at rate.
+func generate(t testing.TB, net *topology.Network, name string, rate float64) *Matrix {
+	t.Helper()
+	p, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.Generate(net, rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestSoteriouInvariants(t *testing.T) {
 	net := mesh(t)
 	m := MustSoteriou(net, DefaultSoteriou())
@@ -82,22 +96,22 @@ func TestPShapesHopDistance(t *testing.T) {
 
 func TestSoteriouDeterminism(t *testing.T) {
 	net := mesh(t)
-	a := MustSoteriou(net, DefaultSoteriou())
-	b := MustSoteriou(net, DefaultSoteriou())
-	for s := 0; s < a.N; s++ {
-		for d := 0; d < a.N; d++ {
-			if a.Rate(s, d) != b.Rate(s, d) {
+	a := denseRows(MustSoteriou(net, DefaultSoteriou()))
+	b := denseRows(MustSoteriou(net, DefaultSoteriou()))
+	for s := range a {
+		for d := range a[s] {
+			if a[s][d] != b[s][d] {
 				t.Fatalf("same seed diverged at [%d][%d]", s, d)
 			}
 		}
 	}
 	c := DefaultSoteriou()
 	c.Seed = 99
-	other := MustSoteriou(net, c)
+	other := denseRows(MustSoteriou(net, c))
 	same := true
-	for s := 0; s < a.N && same; s++ {
-		for d := 0; d < a.N; d++ {
-			if a.Rate(s, d) != other.Rate(s, d) {
+	for s := 0; s < len(a) && same; s++ {
+		for d := range a[s] {
+			if a[s][d] != other[s][d] {
 				same = false
 				break
 			}
@@ -138,7 +152,7 @@ func TestScaledToMaxRate(t *testing.T) {
 	if !units.ApproxEqual(s.MeanRowSum(), m.MeanRowSum()*0.5, 1e-9) {
 		t.Error("scaling must be linear")
 	}
-	z := NewMatrix(4).ScaledToMaxRate(0.1)
+	z := m.Scaled(0).ScaledToMaxRate(0.1)
 	if z.MaxRowSum() != 0 {
 		t.Error("scaling a zero matrix stays zero")
 	}
@@ -154,8 +168,9 @@ func TestScalingLinearityProperty(t *testing.T) {
 		x := m.Scaled(a).Scaled(b)
 		y := m.Scaled(a * b)
 		for s := 0; s < m.N; s += 17 {
+			xs, ys := x.Row(s, nil), y.Row(s, nil)
 			for d := 0; d < m.N; d += 13 {
-				if !units.ApproxEqual(x.Rate(s, d), y.Rate(s, d), 1e-9) {
+				if !units.ApproxEqual(xs[d], ys[d], 1e-9) {
 					return false
 				}
 			}
@@ -169,7 +184,7 @@ func TestScalingLinearityProperty(t *testing.T) {
 
 func TestUniform(t *testing.T) {
 	net := mesh(t)
-	m := Uniform(net, 0.1)
+	m := generate(t, net, "uniform", 0.1)
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +201,12 @@ func TestUniform(t *testing.T) {
 
 func TestTranspose(t *testing.T) {
 	net := mesh(t)
-	m := Transpose(net, 0.1)
+	m := generate(t, net, "transpose", 0.1)
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// (x,y) -> (y,x): node (3,5) sends to (5,3).
-	if got := m.Rate(int(net.Node(3, 5)), int(net.Node(5, 3))); got != 0.1 {
+	if got := m.Row(int(net.Node(3, 5)), nil)[net.Node(5, 3)]; got != 0.1 {
 		t.Errorf("transpose rate = %v", got)
 	}
 	// Diagonal nodes are silent.
@@ -202,11 +217,11 @@ func TestTranspose(t *testing.T) {
 
 func TestBitComplement(t *testing.T) {
 	net := mesh(t)
-	m := BitComplement(net, 0.1)
+	m := generate(t, net, "bitcomp", 0.1)
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Rate(0, 255); got != 0.1 {
+	if got := m.Row(0, nil)[255]; got != 0.1 {
 		t.Errorf("node 0 -> 255 rate = %v", got)
 	}
 	// Bit complement of a 16×16 mesh crosses the whole chip: mean
@@ -218,25 +233,21 @@ func TestBitComplement(t *testing.T) {
 
 func TestMeanHopDistanceEmpty(t *testing.T) {
 	net := mesh(t)
-	if d := MeanHopDistance(net, NewMatrix(256)); d != 0 {
+	empty := MustSoteriou(net, DefaultSoteriou()).Scaled(0)
+	if d := MeanHopDistance(net, empty); d != 0 {
 		t.Errorf("empty matrix distance = %v", d)
 	}
 }
 
 func TestMatrixValidateCatchesCorruption(t *testing.T) {
-	m := NewMatrix(4)
-	m.Rates[1][1] = 0.5
-	if err := m.Validate(); err == nil {
-		t.Error("self traffic must be rejected")
+	m := generate(t, grid(t, 4, 4), "uniform", 0.1)
+	if err := m.Scaled(-1).Validate(); err == nil {
+		t.Error("negative scale must be rejected")
 	}
-	m = NewMatrix(4)
-	m.Rates[0][1] = -1
-	if err := m.Validate(); err == nil {
-		t.Error("negative rate must be rejected")
+	if err := m.Scaled(math.NaN()).Validate(); err == nil {
+		t.Error("NaN scale must be rejected")
 	}
-	m = NewMatrix(4)
-	m.Rates[0][1] = math.NaN()
-	if err := m.Validate(); err == nil {
-		t.Error("NaN rate must be rejected")
+	if err := m.Scaled(math.Inf(1)).Validate(); err == nil {
+		t.Error("infinite scale must be rejected")
 	}
 }
