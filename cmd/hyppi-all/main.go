@@ -10,9 +10,10 @@
 // minutes at the default scale); -skip-traces omits them. -grid overrides
 // the paper's 16×16 mesh for the analytic experiments (the NPB traces stay
 // on the rank grid the kernels were synthesized for); routing and traffic
-// are O(n) in nodes, so 64×64 and beyond stay interactive. Independent
-// experiments run concurrently on a bounded worker pool (-workers 0 sizes
-// it to GOMAXPROCS) with results identical to a serial run.
+// are linear in nodes plus links on the mesh, so 64×64 and beyond stay
+// interactive. Independent experiments run concurrently on a bounded
+// worker pool (-workers 0 sizes it to GOMAXPROCS) with results identical
+// to a serial run.
 package main
 
 import (

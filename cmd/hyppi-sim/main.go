@@ -27,7 +27,8 @@
 // With -pattern, hyppi-sim runs a synthetic traffic saturation sweep
 // instead of traces: the named registry pattern (or "all") is swept over
 // offered load on the -grid geometry (default 8×8; 64×64 and beyond stay
-// interactive — routing, traffic and the kernel are all O(n) in nodes),
+// interactive — routing, traffic and the kernel are all linear in nodes
+// plus links on the monotone kinds),
 // mesh versus express hybrids, and the latency-knee saturation throughput
 // is reported per configuration (-csv emits the dataset instead).
 //

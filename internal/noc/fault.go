@@ -152,7 +152,7 @@ func (s *Sim) faultIntercept(rid, port, v int, vc *vcState, out *outState) bool 
 	// stays at the head of its VC, ineligible until the NACK returns.
 	front.tries++
 	front.ready = s.now + 1 + 2*int64(s.linkLat[lid])
-	s.routers[rid].inSAPtr[port] = int32(v + 1)
+	s.routers[rid].ports[port].saPtr = int32(v + 1)
 	s.stats.Activity.BufferReads++
 	s.stats.Activity.CrossbarTraversals++
 	s.stats.LinkFlits[lid]++

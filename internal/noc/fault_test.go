@@ -48,7 +48,8 @@ func uniformBER(net *topology.Network, p float64) []float64 {
 // TestFaultRetransmitDelivery pins the acceptance criterion: under nonzero
 // BER with unlimited retries, every injected packet is eventually
 // delivered, the failed traversals show up in the retransmission census,
-// and the energy-bearing counters include them.
+// and the energy-bearing counters include them. The per-cycle invariant
+// check covers the retry path's buffer and allocator state.
 func TestFaultRetransmitDelivery(t *testing.T) {
 	net, tab := faultTestNet(t, 4, 4)
 	pkts := faultTestPackets(t, net, 0.1, 300)
@@ -56,6 +57,7 @@ func TestFaultRetransmitDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	CheckInvariants(t, sim)
 	if err := sim.SetFaultProfile(&FaultProfile{
 		LinkFlitErrorProb: uniformBER(net, 0.2),
 		Seed:              42,

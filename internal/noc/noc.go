@@ -8,7 +8,12 @@
 //   - a 3-stage router pipeline (route computation / VC allocation, switch
 //     allocation, switch traversal)
 //   - credit-based flow control between routers
-//   - separable round-robin allocators (input-first for switch allocation)
+//   - separable round-robin allocators (input-first for switch allocation),
+//     each run in one pass over a router's ports: the switch grant keeps,
+//     per output, the requesting input port nearest past the output's
+//     round-robin pointer, so it costs O(ports) rather than O(outputs ×
+//     inputs); route computation and the VC-allocation requester gather
+//     share one scan of the VCs that hold flits but no output VC
 //   - table-based oblivious routing (the routing package's tables)
 //   - channel latency of 1 clock for electronic links and 2 clocks for
 //     optical links (the extra cycle is the receiver's O-E conversion)
@@ -21,7 +26,7 @@
 //
 // # Active-set kernel
 //
-// The per-cycle cost scales with live flits, not network size. Three event
+// The per-cycle cost scales with live flits, not network size. Four event
 // structures replace full scans:
 //
 //   - an active-router worklist (a node-indexed bitmap, iterated in index
@@ -35,16 +40,25 @@
 //     one flit enters a channel per cycle, so per-channel FIFO order is
 //     preserved by construction;
 //   - a release min-heap parks traffic sources between packets, so the
-//     injection stage visits only sources with a ready packet.
+//     injection stage visits only sources with a ready packet;
+//   - per-input-port VC bitmasks — occupied VCs, and eligible VCs (occupied,
+//     routed and owning an output VC) — kept current at every buffer push
+//     and pop, route, VC grant and tail release. The switch allocator's
+//     input stage rotates the eligible mask by the port's round-robin
+//     pointer and takes trailing zeros, dereferencing only eligible VCs
+//     for the pipeline-ready and credit checks; route computation visits
+//     only occupied VCs without an output VC. Idle VCs are never probed.
 //
 // Router state lives in contiguous per-Sim arenas (struct-of-arrays):
 // building a Sim performs a fixed, small number of allocations whatever
-// the network size, and Reset rewinds everything for reuse without
-// reallocating (see Reset and SimPool).
+// the network size and work linear in nodes plus links, and Reset rewinds
+// everything for reuse without reallocating (see Reset and SimPool).
 package noc
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -76,10 +90,32 @@ func DefaultConfig() Config {
 	return Config{VCs: 4, BufDepthFlits: 8, PipelineClks: 3}
 }
 
+// MaxVCs bounds Config.VCs: each input port tracks its VCs in 64-bit
+// masks (VC indices are int8, whose bound is looser).
+const MaxVCs = 64
+
+// MaxBufDepthFlits bounds Config.BufDepthFlits: downstream credits are
+// int16 counters.
+const MaxBufDepthFlits = math.MaxInt16
+
+var (
+	// ErrVCsOutOfRange marks a Config with more VCs than MaxVCs.
+	ErrVCsOutOfRange = errors.New("noc: VCs out of range")
+	// ErrBufDepthOutOfRange marks a Config whose BufDepthFlits exceeds
+	// MaxBufDepthFlits.
+	ErrBufDepthOutOfRange = errors.New("noc: buffer depth out of range")
+)
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.VCs <= 0 || c.BufDepthFlits <= 0 || c.PipelineClks <= 0 {
 		return fmt.Errorf("noc: non-positive config %+v", c)
+	}
+	if c.VCs > MaxVCs {
+		return fmt.Errorf("%w: %d > %d", ErrVCsOutOfRange, c.VCs, MaxVCs)
+	}
+	if c.BufDepthFlits > MaxBufDepthFlits {
+		return fmt.Errorf("%w: %d > %d", ErrBufDepthOutOfRange, c.BufDepthFlits, MaxBufDepthFlits)
 	}
 	return nil
 }
@@ -266,10 +302,11 @@ type flit struct {
 // bufEntry is a buffered flit plus the cycle it becomes eligible for switch
 // allocation (modelling the first two pipeline stages). tries counts failed
 // traversal attempts at this hop under an armed FaultProfile; it resets
-// when the flit crosses to the next router.
+// when the flit crosses to the next router. Fields run largest first so an
+// entry packs into 24 bytes.
 type bufEntry struct {
-	f     flit
 	ready int64
+	f     flit
 	tries int32
 }
 
@@ -362,7 +399,8 @@ type outState struct {
 	// owner[v] is the input VC (packed port*VCs+vc) owning output VC v,
 	// -1 when free (arena-backed).
 	owner []int32
-	// saPtr is the output-side round-robin pointer over input ports.
+	// saPtr is the output-side round-robin pointer over input ports,
+	// kept in [0, nin).
 	saPtr int
 	// vaPtr is the VC-allocation round-robin pointer over requesters.
 	vaPtr int
@@ -372,23 +410,35 @@ type outState struct {
 	classed bool
 }
 
+// inPort is one input port's allocator state. Bit v of each mask is VC v
+// of the port (Config.Validate bounds VCs by MaxVCs).
+type inPort struct {
+	// occ marks the VCs holding buffered flits.
+	occ uint64
+	// elig marks the occupied VCs that are routed and own an output VC —
+	// the switch allocator's candidates, pending only the pipeline-ready
+	// and credit checks. Kept current at every push, pop, route, VC grant
+	// and tail release, so neither allocator probes an idle VC.
+	elig uint64
+	// saPtr is the round-robin pointer over the port's VCs, in [0, VCs].
+	saPtr int32
+	// link is the channel feeding the port (unused for port 0).
+	link topology.LinkID
+	// isX marks ports fed by horizontal channels; used to reset the
+	// dateline class at the X→Y dimension transition so one class bit
+	// suffices for both dimensions' rings.
+	isX bool
+}
+
 // router is one node's switch. All slices are views into per-Sim arenas.
 type router struct {
 	id topology.NodeID
-	// nin is the input port count; port 0 is injection.
-	nin int
 	// in[p*VCs+v]: input VC v of port p.
 	in []vcState
+	// ports[p]: input port p; port 0 is injection.
+	ports []inPort
 	// out[p]: output port p; port 0 is ejection.
 	out []outState
-	// inSAPtr is the per-input-port round-robin pointer over VCs.
-	inSAPtr []int32
-	// inLink[p] is the channel feeding input port p (port 0 unused).
-	inLink []topology.LinkID
-	// inIsX[p] marks input ports fed by horizontal channels; used to
-	// reset the dateline class at the X→Y dimension transition so one
-	// class bit suffices for both dimensions' rings.
-	inIsX []bool
 	// outIsY[p] marks output ports driving vertical channels.
 	outIsY []bool
 }
@@ -481,12 +531,20 @@ type Sim struct {
 	totalBuf   int64
 	inflight   int64
 	activeMask []uint64
-	// cand is the switch allocator's per-cycle candidate scratch (one slot
-	// per input port of the widest router); reqs is the VC allocator's
-	// per-output-port requester scratch. Both are sized at construction
-	// and reused across cycles — the hot path never allocates.
-	cand []int
+	// cand and win are the switch allocator's per-cycle scratch: cand[p]
+	// is input port p's candidate VC and win[op] the input port granted
+	// output op (-1 between cycles), sized for the widest router. reqs is
+	// the VC allocator's per-output-port requester scratch. All are sized
+	// at construction and reused across cycles — the hot path never
+	// allocates.
+	cand []int32
+	win  []int32
 	reqs [][]int32
+
+	// cycleHook, when set, runs at the end of every simulated cycle. Only
+	// tests set it (the kernel invariant check); the common path pays one
+	// nil check per cycle.
+	cycleHook func()
 
 	// fault is the armed BER/retransmission profile (nil = faultless; see
 	// SetFaultProfile). routeErr records the first unroutable packet seen
@@ -524,7 +582,9 @@ func New(net *topology.Network, tab *routing.Table, cfg Config) (*Sim, error) {
 	if tab.Net() != net {
 		return nil, fmt.Errorf("noc: routing table built for a different network")
 	}
-	if net.HasDateline() && cfg.VCs < 2 {
+	// Each HasDateline scan walks every link: query once, never per port.
+	ringX, ringY := net.HasDatelineX(), net.HasDatelineY()
+	if (ringX || ringY) && cfg.VCs < 2 {
 		return nil, fmt.Errorf("noc: torus-like topology needs ≥2 VCs for dateline classes, have %d", cfg.VCs)
 	}
 	n := net.NumNodes()
@@ -554,7 +614,7 @@ func New(net *topology.Network, tab *routing.Table, cfg Config) (*Sim, error) {
 	s.stats.LinkFlits = make([]int64, nl)
 	s.stats.RouterFlits = make([]int64, n)
 	s.stats.Activity.SourceFlits = make([]int64, n)
-	s.classed = net.HasDateline()
+	s.classed = ringX || ringY
 	// Class 1 (post-wrap) packets are the rare case: give them the top
 	// VC only and keep the rest for class 0, minimizing the partition
 	// penalty on non-wrapping traffic.
@@ -582,15 +642,17 @@ func New(net *topology.Network, tab *routing.Table, cfg Config) (*Sim, error) {
 	var (
 		vcArena   = make([]vcState, totalIn*vcs)
 		bufArena  = make([]bufEntry, totalIn*vcs*depth)
-		saArena   = make([]int32, totalIn)
-		ilArena   = make([]topology.LinkID, totalIn)
-		ixArena   = make([]bool, totalIn)
+		portArena = make([]inPort, totalIn)
 		outArena  = make([]outState, totalOut)
 		credArena = make([]int16, totalOut*vcs)
 		ownArena  = make([]int32, totalOut*vcs)
 		oyArena   = make([]bool, totalOut)
 	)
-	s.cand = make([]int, maxIn)
+	scratch := make([]int32, maxIn+maxOut)
+	s.cand, s.win = scratch[:maxIn:maxIn], scratch[maxIn:]
+	for op := range s.win {
+		s.win[op] = -1
+	}
 	s.reqs = make([][]int32, maxOut)
 	reqArena := make([]int32, maxOut*maxIn*vcs)
 	for op := range s.reqs {
@@ -605,14 +667,11 @@ func New(net *topology.Network, tab *routing.Table, cfg Config) (*Sim, error) {
 		nin := 1 + len(inLinks)
 		nout := 1 + len(outLinks)
 		r := router{
-			id:      node,
-			nin:     nin,
-			in:      vcArena[inOff*vcs : (inOff+nin)*vcs : (inOff+nin)*vcs],
-			out:     outArena[outOff : outOff+nout : outOff+nout],
-			inSAPtr: saArena[inOff : inOff+nin : inOff+nin],
-			inLink:  ilArena[inOff : inOff+nin : inOff+nin],
-			inIsX:   ixArena[inOff : inOff+nin : inOff+nin],
-			outIsY:  oyArena[outOff : outOff+nout : outOff+nout],
+			id:     node,
+			in:     vcArena[inOff*vcs : (inOff+nin)*vcs : (inOff+nin)*vcs],
+			ports:  portArena[inOff : inOff+nin : inOff+nin],
+			out:    outArena[outOff : outOff+nout : outOff+nout],
+			outIsY: oyArena[outOff : outOff+nout : outOff+nout],
 		}
 		for i := range r.in {
 			base := (inOff*vcs + i) * depth
@@ -643,16 +702,15 @@ func New(net *topology.Network, tab *routing.Table, cfg Config) (*Sim, error) {
 				link:    lid,
 				credits: credits,
 				owner:   owner,
-				classed: (net.HasDatelineX() && l.DX(net) != 0) ||
-					(net.HasDatelineY() && l.DY(net) != 0),
+				classed: (ringX && l.DX(net) != 0) || (ringY && l.DY(net) != 0),
 			}
 			r.outIsY[op] = l.DY(net) != 0
 			s.outPortOf[lid] = int16(op)
 		}
 		for i, lid := range inLinks {
 			s.inPortOf[lid] = int16(1 + i)
-			r.inLink[1+i] = lid
-			r.inIsX[1+i] = net.Links[lid].DX(net) != 0
+			r.ports[1+i].link = lid
+			r.ports[1+i].isX = net.Links[lid].DX(net) != 0
 		}
 		s.routers[id] = r
 		inOff += nin
@@ -706,8 +764,9 @@ func (s *Sim) Reset() {
 			out.saPtr = 0
 			out.vaPtr = 0
 		}
-		for p := range r.inSAPtr {
-			r.inSAPtr[p] = 0
+		for p := range r.ports {
+			ip := &r.ports[p]
+			ip.occ, ip.elig, ip.saPtr = 0, 0, 0
 		}
 	}
 	for i := range s.calendar {
@@ -776,8 +835,21 @@ func (s *Sim) Inject(p Packet) error {
 	return nil
 }
 
-// InjectAll queues a batch of packets.
+// InjectAll queues a batch of packets. One counting pass sizes the packet
+// table and every source queue up front, so a batch grows each at most
+// once instead of once per doubling.
 func (s *Sim) InjectAll(ps []Packet) error {
+	s.pkts = slices.Grow(s.pkts, len(ps))
+	n := s.net.NumNodes()
+	need := make([]int, n)
+	for _, p := range ps {
+		if uint(p.Src) < uint(n) {
+			need[p.Src]++
+		}
+	}
+	for node, c := range need {
+		s.sources[node] = slices.Grow(s.sources[node], c)
+	}
 	for _, p := range ps {
 		if err := s.Inject(p); err != nil {
 			return err
@@ -877,6 +949,9 @@ func (s *Sim) Run() (Stats, error) {
 		ejected := s.switchAllocateAndSend()
 		s.applyCredits()
 		remaining -= ejected
+		if s.cycleHook != nil {
+			s.cycleHook()
+		}
 		s.now++
 	}
 	s.stats.Cycles = s.now
@@ -924,7 +999,7 @@ func (s *Sim) deliverLinkArrivals() {
 		r := &s.routers[dst]
 		port := int(s.inPortOf[e.lid])
 		vc := &r.in[port*vcs+int(e.f.vc)]
-		vc.q.push(bufEntry{f: e.f, ready: ready})
+		r.ports[port].push(e.f.vc, vc, bufEntry{f: e.f, ready: ready})
 		s.stats.RouterFlits[dst]++
 		s.stats.Activity.BufferWrites++
 		s.buffered[dst]++
@@ -1018,7 +1093,7 @@ func (s *Sim) injectNode(node int) {
 		head: seq == 0,
 		tail: int(seq) == p.SizeFlits-1,
 	}
-	vc.q.push(bufEntry{f: f, ready: s.now + int64(s.cfg.PipelineClks) - 1})
+	r.ports[0].push(vcIdx, vc, bufEntry{f: f, ready: s.now + int64(s.cfg.PipelineClks) - 1})
 	s.stats.FlitsInjected++
 	s.stats.RouterFlits[node]++
 	s.stats.Activity.BufferWrites++
@@ -1070,54 +1145,21 @@ func (s *Sim) routeAndAllocateVCs() {
 func (s *Sim) routeRouter(rid int) {
 	r := &s.routers[rid]
 	vcs := s.cfg.VCs
-	// Route computation.
-	for p := 0; p < r.nin; p++ {
-		for v := 0; v < vcs; v++ {
-			vc := &r.in[p*vcs+v]
-			if vc.q.len() == 0 || vc.routed || !vc.q.front().f.head {
+	// One pass over the occupied VCs without an output VC, in packed
+	// (port, vc) order, which fixes each output's requester order: route
+	// unrouted heads, then gather every routed VC as a requester of its
+	// output port. Routing one VC never changes another's request (a VC
+	// requests exactly its routed port), so this equals routing every VC
+	// first and gathering after.
+	nreq := 0
+	for p := range r.ports {
+		ip := &r.ports[p]
+		for m := ip.occ &^ ip.elig; m != 0; m &= m - 1 {
+			i := p*vcs + bits.TrailingZeros64(m)
+			vc := &r.in[i]
+			if !vc.routed && !s.routeHead(r, rid, p, vc) {
 				continue
 			}
-			head := vc.q.front()
-			dst := s.pkts[head.f.pkt].Dst
-			vc.outCls = head.f.cls
-			if topology.NodeID(rid) == dst {
-				vc.outPort = 0
-			} else {
-				lid := s.tab.NextLink(topology.NodeID(rid), dst)
-				if lid < 0 {
-					// Degraded table with no route: abort the run with a
-					// named error instead of panicking on the missing
-					// port. The flit stays unrouted; Run surfaces the
-					// error at the top of the next cycle.
-					if s.routeErr == nil {
-						s.routeErr = fmt.Errorf("noc: packet %d -> %d unroutable at router %d: %w",
-							s.pkts[head.f.pkt].Src, dst, rid, routing.ErrUnreachable)
-					}
-					continue
-				}
-				vc.outPort = s.outPortOf[lid]
-				// The X→Y dimension transition starts a fresh
-				// ring, so the dateline class resets; the Y
-				// ring then sets it again at its own wrap.
-				if r.inIsX[p] && r.outIsY[vc.outPort] {
-					vc.outCls = 0
-				}
-				if s.net.Links[lid].Dateline && vc.outCls == 0 {
-					vc.outCls = 1
-				}
-			}
-			vc.routed = true
-			vc.outVC = -1
-		}
-	}
-	// Gather requesters per output port in one pass, in packed (port, vc)
-	// order — the same order the historical per-port scans produced.
-	// Grants never change another port's requester set (a VC requests
-	// exactly its routed port), so gathering once is equivalent.
-	nreq := 0
-	for i := range r.in {
-		vc := &r.in[i]
-		if vc.routed && vc.outVC < 0 && vc.q.len() > 0 {
 			op := int(vc.outPort)
 			s.reqs[op] = append(s.reqs[op], int32(i))
 			nreq++
@@ -1141,8 +1183,7 @@ func (s *Sim) routeRouter(rid int) {
 				continue
 			}
 			n := len(reqs)
-			granted := false
-			for k := 0; k < n && !granted; k++ {
+			for k := 0; k < n; k++ {
 				pick := (out.vaPtr + k) % n
 				req := reqs[pick]
 				if out.classed && s.vcClass(int8(fv)) != r.in[req].outCls {
@@ -1152,11 +1193,55 @@ func (s *Sim) routeRouter(rid int) {
 				out.vaPtr++
 				r.in[req].outVC = int8(fv)
 				out.owner[fv] = req
-				granted = true
+				// A requester is occupied, so the grant makes it eligible.
+				r.ports[int(req)/vcs].elig |= 1 << uint(int(req)%vcs)
+				break
 			}
 		}
 		s.reqs[op] = reqs[:0]
 	}
+}
+
+// routeHead computes the output port of the head flit at the front of
+// input VC vc (port p of router rid) and marks the VC routed. It returns
+// false, leaving the VC unrouted, when the front flit is not a head or the
+// table has no route.
+func (s *Sim) routeHead(r *router, rid, p int, vc *vcState) bool {
+	head := vc.q.front()
+	if !head.f.head {
+		return false
+	}
+	dst := s.pkts[head.f.pkt].Dst
+	vc.outCls = head.f.cls
+	if topology.NodeID(rid) == dst {
+		vc.outPort = 0
+	} else {
+		lid := s.tab.NextLink(topology.NodeID(rid), dst)
+		if lid < 0 {
+			// Degraded table with no route: abort the run with a named
+			// error instead of panicking on the missing port. The flit
+			// stays unrouted; Run surfaces the error at the top of the
+			// next cycle.
+			if s.routeErr == nil {
+				s.routeErr = fmt.Errorf("noc: packet %d -> %d unroutable at router %d: %w",
+					s.pkts[head.f.pkt].Src, dst, rid, routing.ErrUnreachable)
+			}
+			return false
+		}
+		vc.outPort = s.outPortOf[lid]
+		// The X→Y dimension transition starts a fresh ring, so the
+		// dateline class resets; the Y ring then sets it again at its
+		// own wrap.
+		if r.ports[p].isX && r.outIsY[vc.outPort] {
+			vc.outCls = 0
+		}
+		if s.net.Links[lid].Dateline && vc.outCls == 0 {
+			vc.outCls = 1
+		}
+	}
+	vc.routed = true
+	vc.outVC = -1
+	return true
 }
 
 // switchAllocateAndSend is the separable switch allocator plus traversal:
@@ -1182,51 +1267,65 @@ func (s *Sim) switchAllocateAndSend() int64 {
 func (s *Sim) switchRouter(rid int, ejected *int64) {
 	r := &s.routers[rid]
 	vcs := s.cfg.VCs
-	// Input stage: pick one eligible VC per input port.
-	cand := s.cand[:r.nin] // VC index per port, -1 = none
-	for p := 0; p < r.nin; p++ {
-		cand[p] = -1
-		ptr := int(r.inSAPtr[p])
-		for k := 0; k < vcs; k++ {
-			v := (ptr + k) % vcs
-			vc := &r.in[p*vcs+v]
-			if vc.q.len() == 0 || !vc.routed || vc.outVC < 0 {
-				continue
-			}
+	nin := len(r.ports)
+	cand, win := s.cand, s.win
+	ncand := 0
+	for p := range r.ports {
+		ip := &r.ports[p]
+		if ip.elig == 0 {
+			continue
+		}
+		// Input stage: the first eligible VC round-robin from saPtr that
+		// is pipeline-ready and has downstream space. Rotating the mask
+		// right by saPtr puts VC saPtr at bit 0 and wraps the VCs below
+		// it to the top bits, so trailing zeros visit VCs in round-robin
+		// order.
+		ptr := int(ip.saPtr)
+		v := -1
+		for m := bits.RotateLeft64(ip.elig, -ptr); m != 0; m &= m - 1 {
+			c := (bits.TrailingZeros64(m) + ptr) & 63
+			vc := &r.in[p*vcs+c]
 			if vc.q.front().ready > s.now {
 				continue
 			}
-			out := &r.out[vc.outPort]
-			if vc.outPort != 0 && out.credits[vc.outVC] <= 0 {
+			if vc.outPort != 0 && r.out[vc.outPort].credits[vc.outVC] <= 0 {
 				continue // no downstream space
 			}
-			cand[p] = v
+			v = c
 			break
 		}
-	}
-	// Output stage: grant one input per output port.
-	for op := range r.out {
-		out := &r.out[op]
-		grant := -1
-		for k := 0; k < r.nin; k++ {
-			p := (out.saPtr + k) % r.nin
-			v := cand[p]
-			if v < 0 {
-				continue
-			}
-			if int(r.in[p*vcs+v].outPort) != op {
-				continue
-			}
-			grant = p
-			break
-		}
-		if grant < 0 {
+		if v < 0 {
 			continue
 		}
-		out.saPtr = grant + 1
-		v := cand[grant]
-		cand[grant] = -1 // input port consumed
-		s.sendFlit(rid, grant, v, op, ejected)
+		// Output stage, folded into the same pass: each candidate
+		// requests exactly one output, whose round-robin winner is the
+		// first requesting port at or after its saPtr, else the first
+		// requesting port overall. Ports arrive in ascending order, so
+		// one comparison per candidate keeps the winner.
+		cand[p] = int32(v)
+		ncand++
+		op := r.in[p*vcs+v].outPort
+		if w := int(win[op]); w < 0 || (w < r.out[op].saPtr && p >= r.out[op].saPtr) {
+			win[op] = int32(p)
+		}
+	}
+	if ncand == 0 {
+		return
+	}
+	// Send in output-port order. A send changes only its own input VC, so
+	// the grants above stay valid throughout.
+	for op := range r.out {
+		p := int(win[op])
+		if p < 0 {
+			continue
+		}
+		win[op] = -1
+		if p+1 == nin {
+			r.out[op].saPtr = 0
+		} else {
+			r.out[op].saPtr = p + 1
+		}
+		s.sendFlit(rid, p, int(cand[p]), op, ejected)
 	}
 }
 
@@ -1240,7 +1339,13 @@ func (s *Sim) sendFlit(rid, port, v, op int, ejected *int64) {
 		return // corrupted traversal; the flit stays buffered for retry
 	}
 	e := vc.q.pop()
-	r.inSAPtr[port] = int32(v + 1)
+	ip := &r.ports[port]
+	ip.saPtr = int32(v + 1)
+	bit := uint64(1) << uint(v)
+	if vc.q.len() == 0 {
+		ip.occ &^= bit
+		ip.elig &^= bit
+	}
 	s.stats.Activity.BufferReads++
 	s.stats.Activity.CrossbarTraversals++
 	s.buffered[rid]--
@@ -1252,7 +1357,7 @@ func (s *Sim) sendFlit(rid, port, v, op int, ejected *int64) {
 	// Return a credit upstream for the freed buffer slot (injection port
 	// slots are source-managed, not credited).
 	if port != 0 {
-		lid := r.inLink[port]
+		lid := ip.link
 		s.credits = append(s.credits, creditEvent{
 			r:    s.linkSrc[lid],
 			port: s.outPortOf[lid],
@@ -1320,13 +1425,28 @@ func (s *Sim) sendFlit(rid, port, v, op int, ejected *int64) {
 		s.obs.FlitSent(e.f.pkt, int32(rid), lid, e.f.head, e.f.tail, dropped, s.now)
 	}
 
-	// Tail departure releases the output VC and the route.
+	// Tail departure releases the output VC and the route; a flit behind
+	// the tail is the next packet's head, not yet routed.
 	if e.f.tail {
 		if vc.outVC >= 0 {
 			out.owner[vc.outVC] = -1
 		}
 		vc.routed = false
 		vc.outVC = -1
+		ip.elig &^= bit
+	}
+}
+
+// push buffers e in VC v (state vc) of the port. The VC becomes occupied,
+// and eligible when it already owns an output VC — a worm whose head has
+// left. outVC >= 0 implies routed: only a routed VC is granted one, and
+// the tail releases both together.
+func (ip *inPort) push(v int8, vc *vcState, e bufEntry) {
+	vc.q.push(e)
+	bit := uint64(1) << uint(v)
+	ip.occ |= bit
+	if vc.outVC >= 0 {
+		ip.elig |= bit
 	}
 }
 

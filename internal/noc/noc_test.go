@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -320,15 +321,61 @@ func TestInjectValidation(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	net, tab := smallMesh(t, 4, 4, 0)
-	bad := []Config{
-		{VCs: 0, BufDepthFlits: 8, PipelineClks: 3},
-		{VCs: 4, BufDepthFlits: 0, PipelineClks: 3},
-		{VCs: 4, BufDepthFlits: 8, PipelineClks: 0},
+	bad := []struct {
+		cfg  Config
+		want error // named error, nil = any error
+	}{
+		{Config{VCs: 0, BufDepthFlits: 8, PipelineClks: 3}, nil},
+		{Config{VCs: 4, BufDepthFlits: 0, PipelineClks: 3}, nil},
+		{Config{VCs: 4, BufDepthFlits: 8, PipelineClks: 0}, nil},
+		// VC sets are 64-bit masks and VC indices int8: 200 VCs would
+		// wrap the class-0 partition to a negative size.
+		{Config{VCs: MaxVCs + 1, BufDepthFlits: 8, PipelineClks: 3}, ErrVCsOutOfRange},
+		{Config{VCs: 200, BufDepthFlits: 8, PipelineClks: 3}, ErrVCsOutOfRange},
+		// Credits are int16: a 40000-flit depth would wrap negative and
+		// nothing could ever be sent.
+		{Config{VCs: 4, BufDepthFlits: MaxBufDepthFlits + 1, PipelineClks: 3}, ErrBufDepthOutOfRange},
+		{Config{VCs: 4, BufDepthFlits: 40000, PipelineClks: 3}, ErrBufDepthOutOfRange},
 	}
 	for i, c := range bad {
-		if _, err := New(net, tab, c); err == nil {
-			t.Errorf("config %d must be rejected", i)
+		_, err := New(net, tab, c.cfg)
+		if err == nil {
+			t.Errorf("config %d %+v must be rejected", i, c.cfg)
+		} else if c.want != nil && !errors.Is(err, c.want) {
+			t.Errorf("config %d %+v: got %v, want %v", i, c.cfg, err, c.want)
 		}
+	}
+	// The bounds themselves are representable.
+	for _, c := range []Config{
+		{VCs: MaxVCs, BufDepthFlits: 8, PipelineClks: 3},
+		{VCs: 4, BufDepthFlits: MaxBufDepthFlits, PipelineClks: 3},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
+	}
+}
+
+// TestMaxVCsRun drives a run at the widest VC count the per-port masks
+// hold, where round-robin pointers reach bit 63, under the per-cycle
+// invariant check, on the dateline-classed row-closure geometry.
+func TestMaxVCsRun(t *testing.T) {
+	net, tab := smallMesh(t, 4, 4, 3)
+	cfg := Config{VCs: MaxVCs, BufDepthFlits: 2, PipelineClks: 3}
+	s, err := New(net, tab, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	CheckInvariants(t, s)
+	if err := s.InjectAll(randomBurst(net, 800, 5)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PacketsEjected != 800 || st.FlitsEjected != st.FlitsInjected {
+		t.Errorf("ejected %d packets, %d/%d flits", st.PacketsEjected, st.FlitsEjected, st.FlitsInjected)
 	}
 }
 

@@ -8,13 +8,15 @@ import (
 	"repro/internal/topology"
 )
 
-// runWith simulates one packet list under a config and returns the Stats.
+// runWith simulates one packet list under a config, with the per-cycle
+// invariant check armed, and returns the Stats.
 func runWith(t *testing.T, net *topology.Network, tab *routing.Table, cfg Config, pkts []Packet) Stats {
 	t.Helper()
 	s, err := New(net, tab, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	CheckInvariants(t, s)
 	if err := s.InjectAll(pkts); err != nil {
 		t.Fatal(err)
 	}

@@ -36,6 +36,7 @@ func TestIdleSkipBitIdenticalTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		noc.CheckInvariants(t, s)
 		if err := s.InjectAll(pkts); err != nil {
 			t.Fatal(err)
 		}

@@ -15,9 +15,10 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/noc"
@@ -111,13 +112,20 @@ func Packetize(events []Event, nodes int, cfg PacketizeConfig) ([]noc.Packet, er
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sorted := make([]Event, len(events))
-	copy(sorted, events)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Cycle < sorted[j].Cycle })
+	sorted := slices.Clone(events)
+	slices.SortStableFunc(sorted, func(a, b Event) int { return cmp.Compare(a.Cycle, b.Cycle) })
 
+	// Size the result in one counting pass; invalid events are rejected
+	// below and count nothing here.
+	count := 0
+	for _, e := range events {
+		if n := (cfg.FlitCount(e.Bytes) + int64(cfg.LargeFlits) - 1) / int64(cfg.LargeFlits); n > 0 {
+			count += int(n)
+		}
+	}
+	packets := slices.Grow([]noc.Packet(nil), max(count, 0))
 	// nextFree[src] tracks when the source's injection channel frees up.
-	nextFree := make(map[int]int64, nodes)
-	var packets []noc.Packet
+	nextFree := make([]int64, max(nodes, 0))
 	for _, e := range sorted {
 		if e.Src < 0 || e.Src >= nodes || e.Dst < 0 || e.Dst >= nodes {
 			return nil, fmt.Errorf("trace: event endpoints %d->%d out of %d nodes", e.Src, e.Dst, nodes)
@@ -126,15 +134,9 @@ func Packetize(events []Event, nodes int, cfg PacketizeConfig) ([]noc.Packet, er
 			return nil, fmt.Errorf("trace: non-positive message size %d", e.Bytes)
 		}
 		flits := cfg.FlitCount(e.Bytes)
-		release := e.Cycle
-		if nf := nextFree[e.Src]; nf > release {
-			release = nf
-		}
+		release := max(e.Cycle, nextFree[e.Src])
 		for flits > 0 {
-			size := int64(cfg.LargeFlits)
-			if flits < size {
-				size = flits
-			}
+			size := min(flits, int64(cfg.LargeFlits))
 			packets = append(packets, noc.Packet{
 				Src:       topology.NodeID(e.Src),
 				Dst:       topology.NodeID(e.Dst),

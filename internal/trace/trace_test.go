@@ -2,11 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/noc"
+	"repro/internal/topology"
 )
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -133,6 +137,70 @@ func TestPacketizeSerializesPerSource(t *testing.T) {
 	}
 	if src3.Release != 5 {
 		t.Errorf("src 3 message released at %d, want 5", src3.Release)
+	}
+}
+
+// packetizeOracle is the historical Packetize — reflection-based stable
+// sort, map-backed per-source clock — kept as the reference the production
+// path must reproduce packet for packet.
+func packetizeOracle(events []Event, cfg PacketizeConfig) []noc.Packet {
+	sorted := make([]Event, len(events))
+	copy(sorted, events)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Cycle < sorted[j].Cycle })
+	nextFree := make(map[int]int64)
+	var packets []noc.Packet
+	for _, e := range sorted {
+		flits := cfg.FlitCount(e.Bytes)
+		release := e.Cycle
+		if nf := nextFree[e.Src]; nf > release {
+			release = nf
+		}
+		for flits > 0 {
+			size := int64(cfg.LargeFlits)
+			if flits < size {
+				size = flits
+			}
+			packets = append(packets, noc.Packet{
+				Src: topology.NodeID(e.Src), Dst: topology.NodeID(e.Dst),
+				SizeFlits: int(size), Release: release,
+			})
+			release += size
+			flits -= size
+		}
+		nextFree[e.Src] = release
+	}
+	return packets
+}
+
+// TestPacketizeStableOrderMatchesOracle: many messages share each cycle
+// across and within sources, in shuffled order, so the result depends on
+// the sort keeping equal-cycle events in input order (which message of a
+// source claims its injection channel first). Packetize must match the
+// historical implementation exactly, packet order included.
+func TestPacketizeStableOrderMatchesOracle(t *testing.T) {
+	const nodes = 16
+	rng := rand.New(rand.NewSource(7))
+	events := make([]Event, 4000)
+	for i := range events {
+		events[i] = Event{
+			Cycle: int64(rng.Intn(12)) * 40,
+			Src:   rng.Intn(nodes),
+			Dst:   rng.Intn(nodes),
+			Bytes: int64(1 + rng.Intn(600)),
+		}
+	}
+	for _, cfg := range []PacketizeConfig{DefaultPacketize(), {FlitBytes: 4, LargeFlits: 5}} {
+		got, err := Packetize(events, nodes, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := packetizeOracle(events, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: Packetize diverges from the historical order (%d vs %d packets)",
+				cfg, len(got), len(want))
+		}
+	}
+	if got, err := Packetize(nil, nodes, DefaultPacketize()); err != nil || got != nil {
+		t.Errorf("empty trace: got %v, %v; want nil, nil", got, err)
 	}
 }
 
