@@ -24,12 +24,15 @@ func smallMesh(t testing.TB, w, h, hops int) (*topology.Network, *routing.Table)
 	return net, routing.MustBuild(net, routing.MonotoneExpress)
 }
 
+// newSim builds a Table II simulator with the per-cycle invariant check
+// armed.
 func newSim(t testing.TB, net *topology.Network, tab *routing.Table) *Sim {
 	t.Helper()
 	s, err := New(net, tab, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	CheckInvariants(t, s)
 	return s
 }
 
