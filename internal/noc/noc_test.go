@@ -360,8 +360,9 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestMaxVCsRun drives a run at the widest VC count the per-port masks
-// hold, where round-robin pointers reach bit 63, under the per-cycle
-// invariant check, on the dateline-classed row-closure geometry.
+// hold, under the per-cycle invariant check. On the row-closure geometry
+// dateline-crossing packets ride the top VC (63), so the input round-robin
+// pointer reaches 64, the full width of the mask rotation.
 func TestMaxVCsRun(t *testing.T) {
 	net, tab := smallMesh(t, 4, 4, 3)
 	cfg := Config{VCs: MaxVCs, BufDepthFlits: 2, PipelineClks: 3}
