@@ -102,9 +102,9 @@ bench-baseline:
 
 # One-iteration benchmark run diffed against the pinned baseline
 # (benchstat-style, self-contained — see cmd/hyppi-benchcmp). allocs/op
-# regressions beyond 1% fail (worker pools add a few allocs of scheduling
-# jitter; a real regression is orders of magnitude larger); timings are
-# informational. The JSON comparison lands in BENCH_scale.json for
+# growth beyond both 1% and the tool's absolute slack of 256 allocs fails
+# (worker pools and concurrent serve clients add scheduling jitter; a real
+# regression is far larger); timings are informational. The JSON comparison lands in BENCH_scale.json for
 # dashboards and CI artifacts.
 bench-compare:
 	$(GO) test -bench=. -benchtime=1x -benchmem . > $(BENCH_OUT) || { cat $(BENCH_OUT); exit 1; }

@@ -9,18 +9,19 @@
 //
 //	hyppi-benchcmp old.txt new.txt
 //	hyppi-benchcmp -threshold 20 old.txt new.txt   # exit 1 on >20% time/op regressions
-//	hyppi-benchcmp -fail-allocs 0 old.txt new.txt  # exit 1 on any allocs/op increase
+//	hyppi-benchcmp -fail-allocs 0 old.txt new.txt  # exit 1 on any allocs/op increase past the slack
 //	hyppi-benchcmp -json cmp.json old.txt new.txt  # also write the table as JSON
 //
 // With a single file argument it just pretty-prints that file's metrics.
 // Without -threshold the exit status is always 0 for timings (single-run
 // benchmark numbers are noisy; the CI smoke job runs at -benchtime=1x and
 // only wants the comparison rendered, not enforced). Allocation counts are
-// deterministic at -benchtime=1x, so -fail-allocs gates them exactly: any
-// allocs/op increase beyond the given percentage fails, and 0 tolerates
-// none. -json writes the machine-readable comparison (every benchmark ×
-// metric row with its delta) for dashboards and artifact diffing. A gate
-// failure exits 1; a usage or I/O error exits 2.
+// near-deterministic at -benchtime=1x, so -fail-allocs gates them: an
+// allocs/op increase fails when it exceeds both the given percentage of
+// the baseline and allocSlack allocs (see allocsRegressed). -json writes
+// the machine-readable comparison (every benchmark × metric row with its
+// delta) for dashboards and artifact diffing. A gate failure exits 1; a
+// usage or I/O error exits 2.
 package main
 
 import (
@@ -142,6 +143,22 @@ type row struct {
 	DeltaPct  float64 `json:"delta_pct"`
 }
 
+// allocSlack is the absolute allocs/op growth the -fail-allocs gate always
+// tolerates. Five -benchtime=1x runs of the root benchmarks differ by at
+// most 13 allocs/op, except BenchmarkServeThroughput: its concurrent
+// clients batch and hit the cache by scheduling, and its count spans 207
+// allocs over 35 runs at -cpu 1 and 2. The slack sits just above that, so
+// a re-pinned baseline cannot trip on scheduling noise; per-run garbage
+// coming back (400–7,500 allocs/op per benchmark, as BENCH_baseline.txt
+// pinned before the kernel's garbage cuts) still fails.
+const allocSlack = 256
+
+// allocsRegressed is the -fail-allocs rule: allocs/op grew from old to new
+// by more than pct percent of old and by more than allocSlack allocs.
+func allocsRegressed(old, new, pct float64) bool {
+	return new-old > max(old*pct/100, allocSlack)
+}
+
 // errGate marks a comparison that ran but failed a -threshold or
 // -fail-allocs gate (exit 1); every other error is a usage or I/O error
 // (exit 2).
@@ -175,8 +192,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	threshold := fs.Float64("threshold", 0,
 		"exit 1 when any benchmark's ns/op regresses by more than this percentage (0 = never fail)")
 	failAllocs := fs.Float64("fail-allocs", -1,
-		"exit 1 when any benchmark's allocs/op grows by more than this percentage "+
-			"(0 = fail on any increase, negative = disabled)")
+		fmt.Sprintf("exit 1 when any benchmark's allocs/op grows by more than this percentage "+
+			"and by more than %d allocs (negative = disabled)", allocSlack))
 	jsonPath := fs.String("json", "",
 		"also write the comparison as JSON rows to this file")
 	units := fs.String("units", "",
@@ -249,7 +266,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if u == "ns/op" && *threshold > 0 && ov > 0 && pct > *threshold {
 				regressed = true
 			}
-			if u == "allocs/op" && *failAllocs >= 0 && ov >= 0 && pct > *failAllocs {
+			if u == "allocs/op" && *failAllocs >= 0 && ov >= 0 && allocsRegressed(ov, nv, *failAllocs) {
 				allocFailures = append(allocFailures,
 					fmt.Sprintf("%s: allocs/op %s -> %s (%+.1f%%)", name, human(ov), human(nv), pct))
 			}
@@ -282,7 +299,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stderr, "hyppi-benchcmp:", f)
 	}
 	if len(allocFailures) > 0 {
-		fails = append(fails, fmt.Sprintf("allocs/op regression beyond %.0f%%", *failAllocs))
+		fails = append(fails, fmt.Sprintf("allocs/op regression beyond %.0f%% and %d allocs", *failAllocs, allocSlack))
 	}
 	if len(fails) > 0 {
 		return fmt.Errorf("%w: %s", errGate, strings.Join(fails, "; "))

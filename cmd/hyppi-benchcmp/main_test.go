@@ -16,8 +16,11 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 
 // The fixtures are two small `go test -bench` outputs: old.txt a 1-CPU run
 // without the -GOMAXPROCS suffix, new.txt a 2-CPU run whose names carry
-// "-2". TopologyKinds/mesh grows 560 → 566 allocs/op (+1.07%), the one
-// allocs/op increase; one benchmark is retired and one added.
+// "-2". Two benchmarks allocate more: Fig5DesignSpace 85438 → 86720
+// allocs/op (+1.5%, +1282 allocs), which fails a 1% gate and passes a 2%
+// one, and TopologyKinds/mesh 560 → 566 (+1.07%, +6 allocs), which the
+// absolute slack lets through at either. One benchmark is retired and one
+// added.
 const (
 	oldFixture = "testdata/old.txt"
 	newFixture = "testdata/new.txt"
@@ -63,6 +66,34 @@ func TestGolden(t *testing.T) {
 			}
 			golden.Check(t, filepath.Join("testdata", c.name+".golden"), got, *update)
 		})
+	}
+}
+
+// TestAllocsRegressed pins the -fail-allocs rule: growth fails only past
+// both the percentage of the baseline and the absolute slack, so small
+// counts ride out scheduling noise and large ones keep the percentage.
+func TestAllocsRegressed(t *testing.T) {
+	cases := []struct {
+		old, new, pct float64
+		want          bool
+	}{
+		{347, 347, 1, false},                    // unchanged
+		{347, 300, 0, false},                    // fewer allocs never fail
+		{347, 347 + allocSlack, 1, false},       // the slack is inclusive
+		{347, 347 + allocSlack + 1, 1, true},    // just past the slack
+		{347, 1675, 1, true},                    // the kernel's per-run garbage back
+		{347, 347 + allocSlack + 1, 100, false}, // within a generous percentage
+		{2975, 3055, 0, false},                  // ServeThroughput's scheduling spread
+		{85438, 85438 + 854, 1, false},          // within 1% of a large count
+		{85438, 85438 + 855, 1, true},           // past 1% and past the slack
+		{85438, 86720, 2, false},                // the fixture's Fig5DesignSpace at 2%
+		{0, allocSlack + 1, 0, true},            // from zero: only the slack applies
+		{0, allocSlack, 1e9, false},
+	}
+	for _, c := range cases {
+		if got := allocsRegressed(c.old, c.new, c.pct); got != c.want {
+			t.Errorf("allocsRegressed(%v, %v, %v%%) = %v, want %v", c.old, c.new, c.pct, got, c.want)
+		}
 	}
 }
 

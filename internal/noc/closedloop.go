@@ -81,7 +81,10 @@ func (s *Sim) InjectClosedLoop(ps []Packet, deps [][]int) error {
 	}
 
 	// Only root packets (no predecessors) enter their source queues now;
-	// the rest are parked until completeSuccessors releases them.
+	// the rest are parked until completeSuccessors releases them. Every
+	// packet ends up in its source queue, so growQueues sizes the queues
+	// for the released ones too.
+	s.growQueues(ps)
 	for i, p := range ps {
 		s.pkts = append(s.pkts, pktMeta{Packet: p})
 		if s.pending[i] == 0 {

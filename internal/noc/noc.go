@@ -98,6 +98,10 @@ const MaxVCs = 64
 // int16 counters.
 const MaxBufDepthFlits = math.MaxInt16
 
+// MaxPackets bounds the packets one run can hold: the kernel indexes
+// packets with int32.
+const MaxPackets = math.MaxInt32
+
 var (
 	// ErrVCsOutOfRange marks a Config with more VCs than MaxVCs.
 	ErrVCsOutOfRange = errors.New("noc: VCs out of range")
@@ -835,10 +839,22 @@ func (s *Sim) Inject(p Packet) error {
 	return nil
 }
 
-// InjectAll queues a batch of packets. One counting pass sizes the packet
-// table and every source queue up front, so a batch grows each at most
-// once instead of once per doubling.
+// InjectAll queues a batch of packets, sized up front by growQueues.
 func (s *Sim) InjectAll(ps []Packet) error {
+	s.growQueues(ps)
+	for _, p := range ps {
+		if err := s.Inject(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// growQueues sizes the packet table and every source queue for a batch
+// in one counting pass, so the batch grows each at most once instead of
+// once per doubling. Packets with an out-of-range source count nothing;
+// the injection that follows rejects them.
+func (s *Sim) growQueues(ps []Packet) {
 	s.pkts = slices.Grow(s.pkts, len(ps))
 	n := s.net.NumNodes()
 	need := make([]int, n)
@@ -850,12 +866,6 @@ func (s *Sim) InjectAll(ps []Packet) error {
 	for node, c := range need {
 		s.sources[node] = slices.Grow(s.sources[node], c)
 	}
-	for _, p := range ps {
-		if err := s.Inject(p); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Run simulates until every injected packet has fully ejected, or MaxCycles

@@ -244,9 +244,10 @@ func genFT(cfg Config) []trace.Event {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	perSrc := int64(n-1) * bytes
 	gap := cfg.phaseGap(perSrc)
-	var events []trace.Event
+	iters := cfg.iters(ftDefaultIters)
+	events := make([]trace.Event, 0, iters*n*(n-1))
 	serial := cfg.spacing(bytes)
-	for it := 0; it < cfg.iters(ftDefaultIters); it++ {
+	for it := 0; it < iters; it++ {
 		start := int64(it) * gap
 		for s := 0; s < n; s++ {
 			order := rng.Perm(n)

@@ -76,42 +76,55 @@ func (g *Graph) Validate() error {
 // TopoOrder returns a topological order of the message indices (Kahn's
 // algorithm, smallest ready index first, so the order is deterministic) or
 // an error naming a message on a dependency cycle.
+//
+// Successors are CSR lists built by one counting pass, and the ready set
+// is a binary min-heap of indices, so a call is O(E + n log n) however
+// wide the graph's frontier grows.
 func (g *Graph) TopoOrder() ([]int, error) {
 	n := len(g.Messages)
-	indeg := make([]int, n)
-	succ := make([][]int32, n)
+	indeg := make([]int32, n)
+	// off[d]:off[d+1] bounds d's successors in succ. The fill pass below
+	// advances each off[d] to its list's end; the copy shifts them back.
+	off := make([]int32, n+1)
 	for i, m := range g.Messages {
-		indeg[i] = len(m.Deps)
+		indeg[i] = int32(len(m.Deps))
 		for _, d := range m.Deps {
-			succ[d] = append(succ[d], int32(i))
+			off[d+1]++
 		}
 	}
-	// A min-heap over ready indices would be asymptotically tidier; a
-	// sorted frontier via simple insertion keeps this dependency-free and
-	// the graphs are small relative to the simulation they drive.
-	var ready []int
-	for i := n - 1; i >= 0; i-- {
+	for d := 0; d < n; d++ {
+		off[d+1] += off[d]
+	}
+	succ := make([]int32, off[n])
+	for i, m := range g.Messages {
+		for _, d := range m.Deps {
+			succ[off[d]] = int32(i)
+			off[d]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+
+	// Roots in ascending order already form a valid min-heap.
+	ready := make([]int32, 0, n)
+	for i := range indeg {
 		if indeg[i] == 0 {
-			ready = append(ready, i)
+			ready = append(ready, int32(i))
 		}
 	}
 	order := make([]int, 0, n)
 	for len(ready) > 0 {
-		i := ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		order = append(order, i)
-		for _, s := range succ[i] {
+		i := ready[0]
+		last := len(ready) - 1
+		ready[0] = ready[last]
+		ready = ready[:last]
+		siftDown(ready)
+		order = append(order, int(i))
+		for _, s := range succ[off[i]:off[i+1]] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				// Insert keeping ready sorted descending so the pop above
-				// always takes the smallest index.
-				j := len(ready)
-				ready = append(ready, int(s))
-				for j > 0 && ready[j-1] < int(s) {
-					ready[j] = ready[j-1]
-					j--
-				}
-				ready[j] = int(s)
+				ready = append(ready, s)
+				siftUp(ready)
 			}
 		}
 	}
@@ -124,6 +137,39 @@ func (g *Graph) TopoOrder() ([]int, error) {
 		}
 	}
 	return order, nil
+}
+
+// siftUp restores the min-heap order of h after an append.
+func siftUp(h []int32) {
+	j := len(h) - 1
+	for j > 0 {
+		p := (j - 1) / 2
+		if h[p] <= h[j] {
+			return
+		}
+		h[p], h[j] = h[j], h[p]
+		j = p
+	}
+}
+
+// siftDown restores the min-heap order of h after its root was replaced.
+func siftDown(h []int32) {
+	n := len(h)
+	j := 0
+	for {
+		c := 2*j + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[j] <= h[c] {
+			return
+		}
+		h[j], h[c] = h[c], h[j]
+		j = c
+	}
 }
 
 // CriticalPathClks folds a per-message latency estimate over the DAG: each

@@ -16,6 +16,7 @@ package trace
 import (
 	"bufio"
 	"cmp"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -96,11 +97,23 @@ func (c PacketizeConfig) Validate() error {
 }
 
 // FlitCount returns the number of flits needed for a message of the given
-// size: ceil(bytes / FlitBytes).
+// size: ceil(bytes / FlitBytes), without overflow for any int64 size.
 func (c PacketizeConfig) FlitCount(bytes int64) int64 {
-	fb := int64(c.FlitBytes)
-	return (bytes + fb - 1) / fb
+	return ceilDiv(bytes, int64(c.FlitBytes))
 }
+
+// ceilDiv returns ceil(a / b) for b > 0, exact for every int64 a.
+func ceilDiv(a, b int64) int64 {
+	q := a / b
+	if a%b > 0 {
+		q++
+	}
+	return q
+}
+
+// ErrTooManyPackets marks a trace that packetizes into more packets than
+// one simulation can index (noc.MaxPackets).
+var ErrTooManyPackets = errors.New("trace: too many packets")
 
 // Packetize converts messages into simulator packets, splitting each message
 // into LargeFlits-sized packets plus one trailing packet with the remaining
@@ -112,18 +125,20 @@ func Packetize(events []Event, nodes int, cfg PacketizeConfig) ([]noc.Packet, er
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// Size the result in one counting pass before allocating anything;
+	// invalid events are rejected below and count nothing here.
+	var count int64
+	for _, e := range events {
+		if n := ceilDiv(cfg.FlitCount(e.Bytes), int64(cfg.LargeFlits)); n > 0 {
+			if count += n; count > noc.MaxPackets {
+				return nil, fmt.Errorf("%w: more than %d", ErrTooManyPackets, noc.MaxPackets)
+			}
+		}
+	}
 	sorted := slices.Clone(events)
 	slices.SortStableFunc(sorted, func(a, b Event) int { return cmp.Compare(a.Cycle, b.Cycle) })
 
-	// Size the result in one counting pass; invalid events are rejected
-	// below and count nothing here.
-	count := 0
-	for _, e := range events {
-		if n := (cfg.FlitCount(e.Bytes) + int64(cfg.LargeFlits) - 1) / int64(cfg.LargeFlits); n > 0 {
-			count += int(n)
-		}
-	}
-	packets := slices.Grow([]noc.Packet(nil), max(count, 0))
+	packets := slices.Grow([]noc.Packet(nil), int(count))
 	// nextFree[src] tracks when the source's injection channel frees up.
 	nextFree := make([]int64, max(nodes, 0))
 	for _, e := range sorted {

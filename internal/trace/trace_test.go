@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -231,5 +232,31 @@ func TestFlitCount(t *testing.T) {
 		if got := cfg.FlitCount(b); got != want {
 			t.Errorf("FlitCount(%d) = %d, want %d", b, got, want)
 		}
+	}
+}
+
+// TestPacketizeRejectsOversizedMessage: a message of MaxInt64 bytes once
+// overflowed FlitCount to a negative count, and Packetize then emitted
+// nothing and no error, so the traffic silently vanished. FlitCount must
+// stay exact at that size, and the 2^55 packets it needs must be rejected
+// by name, before anything is allocated.
+func TestPacketizeRejectsOversizedMessage(t *testing.T) {
+	events, err := Read(strings.NewReader("0 0 1 9223372036854775807\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultPacketize()
+	if got, want := cfg.FlitCount(events[0].Bytes), int64(1)<<60; got != want {
+		t.Errorf("FlitCount(MaxInt64) = %d, want %d", got, want)
+	}
+	if pkts, err := Packetize(events, 2, cfg); !errors.Is(err, ErrTooManyPackets) {
+		t.Errorf("Packetize: %d packets, error %v; want ErrTooManyPackets", len(pkts), err)
+	}
+	// The bound is on the batch: two messages that each fit but together
+	// pass noc.MaxPackets are rejected too.
+	half := int64(noc.MaxPackets/2+1) * int64(cfg.LargeFlits*cfg.FlitBytes)
+	two := []Event{{Src: 0, Dst: 1, Bytes: half}, {Src: 1, Dst: 0, Bytes: half}}
+	if _, err := Packetize(two, 2, cfg); !errors.Is(err, ErrTooManyPackets) {
+		t.Errorf("two half-size messages: error %v, want ErrTooManyPackets", err)
 	}
 }
