@@ -91,6 +91,14 @@ func Evaluate(net *topology.Network, tab *routing.Table, tm *traffic.Matrix, p P
 	n := net.NumNodes()
 	linkLoad := make([]float64, len(net.Links)) // flits/cycle per channel
 	routerLoad := make([]float64, n)            // flit traversals/cycle per router
+	// Compact per-channel view of what a route walk reads: the hottest
+	// loop of a design-space sweep runs once per hop of every (src, dst)
+	// pair of every design point, so it should touch a few bytes per
+	// hop rather than a whole topology.Link.
+	arcs := make([]arc, len(net.Links))
+	for i, l := range net.Links {
+		arcs[i] = arc{dst: int32(l.Dst), clks: int32(p.RouterPipelineClks + l.LatencyClks), express: l.Express}
+	}
 
 	var latSum, rateSum, hopSum, expressFlits, totalFlitHops float64
 	row := make([]float64, n) // reusable per-source rate row (matrices stream rows on demand)
@@ -105,25 +113,23 @@ func Evaluate(net *topology.Network, tab *routing.Table, tm *traffic.Matrix, p P
 			dst := topology.NodeID(d)
 			lat := p.RouterPipelineClks // ejection router
 			routerLoad[s] += rate
-			// Walk the route link by link instead of materializing
-			// tab.Path: this loop runs for every (src, dst) pair of
-			// every design point, and the per-pair path slices used
-			// to dominate a sweep's allocations.
+			// Walk the route link by link instead of materializing a
+			// path slice per pair.
 			hops := 0
-			for at := src; at != dst; {
-				l := tab.Hop(at, dst, hops)
-				if l == nil {
+			for at := src; at != dst; hops++ {
+				lid := tab.HopID(at, dst, hops)
+				if lid < 0 {
 					return Result{}, fmt.Errorf("analytic: %d -> %d: %w", src, dst, tab.HopErr(at, dst, hops))
 				}
-				linkLoad[l.ID] += rate
-				routerLoad[l.Dst] += rate
-				lat += p.RouterPipelineClks + l.LatencyClks
+				a := &arcs[lid]
+				linkLoad[lid] += rate
+				routerLoad[a.dst] += rate
+				lat += int(a.clks)
 				totalFlitHops += rate
-				if l.Express {
+				if a.express {
 					expressFlits += rate
 				}
-				at = l.Dst
-				hops++
+				at = topology.NodeID(a.dst)
 			}
 			latSum += rate * float64(lat)
 			hopSum += rate * float64(hops)
@@ -197,6 +203,15 @@ func Evaluate(net *topology.Network, tab *routing.Table, tm *traffic.Matrix, p P
 	res.CLEAR = res.CapabilityGbpsPerNode /
 		(res.AvgLatencyClks * res.PowerW * (res.AreaM2 / units.MillimetreSq) * res.R)
 	return res, nil
+}
+
+// arc is one channel as Evaluate's route walk reads it: the router it
+// leads to, the head latency it adds (a router pipeline plus the channel
+// latency) and whether it is an express channel.
+type arc struct {
+	dst     int32
+	clks    int32
+	express bool
 }
 
 type linkKey struct {

@@ -246,17 +246,31 @@ func ProjectAllOptical(net *topology.Network, tab *routing.Table, tm *traffic.Ma
 		return Projection{}, err
 	}
 
+	if tm.N != net.NumNodes() {
+		return Projection{}, fmt.Errorf("optical: traffic size %d vs %d nodes", tm.N, net.NumNodes())
+	}
+	wk := newWalker(net, tab, dev)
+
 	// First pass: turn frequencies for the port assignment.
-	w, err := turnWeights(net, tab, tm)
+	w, err := wk.turnWeights(tm)
 	if err != nil {
 		return Projection{}, err
 	}
 	assign, _ := rm.OptimalAssignment(w)
+	// turnLoss[i][j] is the router loss of entering on direction i and
+	// leaving on j under the assignment.
+	var turnLoss [NumPorts][NumPorts]float64
+	for i := range turnLoss {
+		for j := range turnLoss[i] {
+			turnLoss[i][j] = rm.LossDB[assign[i]][assign[j]]
+		}
+	}
 
 	// Second pass: per-flow end-to-end loss and laser energy.
 	penalty := link.ExtinctionPenalty(dev.Modulator.ExtinctionRatioDB)
 	sens := dev.DetectorSensitivityW * p.LinkCapacityBps / 10e9
 	eff := dev.Laser.EfficiencyPct / 100
+	sourceDB := dev.Modulator.InsertionLossDB + dev.Waveguide.CouplingLossDB
 
 	var eSum, wSum, lossSum, worst float64
 	n := net.NumNodes()
@@ -268,7 +282,10 @@ func ProjectAllOptical(net *topology.Network, tab *routing.Table, tm *traffic.Ma
 			if rate == 0 || s == d {
 				continue
 			}
-			lossDB, _, _ := pathLoss(net, tab, topology.NodeID(s), topology.NodeID(d), rm, assign, dev)
+			lossDB, _, err := wk.pathLoss(topology.NodeID(s), topology.NodeID(d), &turnLoss, sourceDB)
+			if err != nil {
+				return Projection{}, err
+			}
 			laserW := sens * penalty / units.TransmissionFromLossDB(lossDB) / eff
 			// Control energy is charged once per bit, not per router:
 			// in a circuit-switched NoC the 2×2 switches are held in
@@ -309,52 +326,100 @@ func ProjectAllOptical(net *topology.Network, tab *routing.Table, tm *traffic.Ma
 	}, nil
 }
 
+// step is one channel as the route walker sees it: the node it leads
+// to, the direction it leaves its source router by, the direction it
+// enters its destination router from, and its waveguide propagation loss.
+type step struct {
+	dst     int32
+	out, in uint8
+	propDB  float64
+}
+
+// walker steps the routes of one table over O(links) per-channel steps,
+// so the per-pair walks of both projection passes neither allocate nor
+// reclassify each hop's direction. Its sums add in route order, the order
+// of the tab.Path walks that oracle_test.go keeps and compares bit for bit.
+type walker struct {
+	tab   *routing.Table
+	n     int
+	steps []step
+}
+
+// newWalker precomputes the per-channel steps of net for the device's
+// waveguide.
+func newWalker(net *topology.Network, tab *routing.Table, dev tech.OpticalParams) *walker {
+	steps := make([]step, len(net.Links))
+	for i, l := range net.Links {
+		out := linkDirection(net, l)
+		steps[i] = step{
+			dst:    int32(l.Dst),
+			out:    uint8(out),
+			in:     uint8(opposite(out)),
+			propDB: dev.Waveguide.PropagationLossDBPerCM * (l.LengthM / units.Centimetre),
+		}
+	}
+	return &walker{tab: tab, n: net.NumNodes(), steps: steps}
+}
+
+// fail reports why the walk s→d failed at `at`; a missing route wraps
+// routing.ErrUnreachable.
+func (wk *walker) fail(s, at, d topology.NodeID, hops int) error {
+	return fmt.Errorf("optical: %d -> %d: %w", s, d, wk.tab.HopErr(at, d, hops))
+}
+
 // pathLoss accumulates the end-to-end optical loss of the route s→d:
-// modulator insertion and coupling at the source, per-router port-to-port
-// loss under the assignment, and waveguide propagation.
-func pathLoss(net *topology.Network, tab *routing.Table, s, d topology.NodeID,
-	rm RouterModel, assign Assignment, dev tech.OpticalParams) (lossDB float64, routers int, lengthM float64) {
-	lossDB = dev.Modulator.InsertionLossDB + dev.Waveguide.CouplingLossDB
-	inDir := Local
-	for _, lid := range tab.Path(s, d) {
-		l := net.Links[lid]
-		outDir := linkDirection(net, l)
-		lossDB += rm.LossDB[assign[inDir]][assign[outDir]]
-		routers++
-		lossDB += dev.Waveguide.PropagationLossDBPerCM * (l.LengthM / units.Centimetre)
-		lengthM += l.LengthM
-		inDir = opposite(outDir)
+// sourceDB (modulator insertion and coupling at the source), then per
+// router the port-to-port turnLoss and the outgoing waveguide's
+// propagation, and finally the ejection turn at d. routers counts the
+// routers traversed, d's included.
+func (wk *walker) pathLoss(s, d topology.NodeID, turnLoss *[NumPorts][NumPorts]float64,
+	sourceDB float64) (lossDB float64, routers int, err error) {
+	lossDB = sourceDB
+	in := uint8(Local)
+	hops := 0
+	for at := s; at != d; hops++ {
+		lid := wk.tab.HopID(at, d, hops)
+		if lid < 0 {
+			return 0, 0, wk.fail(s, at, d, hops)
+		}
+		st := &wk.steps[lid]
+		lossDB += turnLoss[in][st.out]
+		lossDB += st.propDB
+		in, at = st.in, topology.NodeID(st.dst)
 	}
 	// Ejection through the destination router to its local port.
-	lossDB += rm.LossDB[assign[inDir]][assign[Local]]
-	routers++
-	return lossDB, routers, lengthM
+	lossDB += turnLoss[in][Local]
+	return lossDB, hops + 1, nil
 }
 
 // turnWeights tallies (input direction, output direction) frequencies over
 // all routed flows, including injection (Local→dir) and ejection
 // (dir→Local).
-func turnWeights(net *topology.Network, tab *routing.Table, tm *traffic.Matrix) (TurnWeights, error) {
+func (wk *walker) turnWeights(tm *traffic.Matrix) (TurnWeights, error) {
 	var w TurnWeights
-	if tm.N != net.NumNodes() {
-		return w, fmt.Errorf("optical: traffic size %d vs %d nodes", tm.N, net.NumNodes())
-	}
-	n := net.NumNodes()
+	n := wk.n
 	row := make([]float64, n)
 	for s := 0; s < n; s++ {
 		row = tm.Row(s, row)
+		src := topology.NodeID(s)
 		for d := 0; d < n; d++ {
 			rate := row[d]
 			if rate == 0 || s == d {
 				continue
 			}
-			inDir := Local
-			for _, lid := range tab.Path(topology.NodeID(s), topology.NodeID(d)) {
-				outDir := linkDirection(net, net.Links[lid])
-				w[inDir][outDir] += rate
-				inDir = opposite(outDir)
+			dst := topology.NodeID(d)
+			in := uint8(Local)
+			hops := 0
+			for at := src; at != dst; hops++ {
+				lid := wk.tab.HopID(at, dst, hops)
+				if lid < 0 {
+					return w, wk.fail(src, at, dst, hops)
+				}
+				st := &wk.steps[lid]
+				w[in][st.out] += rate
+				in, at = st.in, topology.NodeID(st.dst)
 			}
-			w[inDir][Local] += rate
+			w[in][Local] += rate
 		}
 	}
 	return w, nil

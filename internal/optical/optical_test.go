@@ -1,6 +1,7 @@
 package optical
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -192,13 +193,15 @@ func TestPathLossAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	assign := Assignment{0, 1, 2, 3, 4}
-	// Route (0,0) -> (2,0): two eastward hops, three routers.
-	lossDB, routers, lengthM := pathLoss(net, tab, net.Node(0, 0), net.Node(2, 0), rm, assign, dev)
+	turnLoss := rm.LossDB // the identity assignment's turn losses
+	sourceDB := dev.Modulator.InsertionLossDB + dev.Waveguide.CouplingLossDB
+	// Route (0,0) -> (2,0): two eastward 1 mm hops, three routers.
+	lossDB, routers, err := newWalker(net, tab, dev).pathLoss(net.Node(0, 0), net.Node(2, 0), &turnLoss, sourceDB)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if routers != 3 {
 		t.Errorf("routers on path = %d, want 3", routers)
-	}
-	if lengthM != 2*units.Millimetre {
-		t.Errorf("path length %v, want 2 mm", lengthM)
 	}
 	want := dev.Modulator.InsertionLossDB + dev.Waveguide.CouplingLossDB +
 		rm.LossDB[assign[Local]][assign[East]] + // inject → east
@@ -215,9 +218,16 @@ func TestLongerRoutesLoseMore(t *testing.T) {
 	net, tab, _ := plainMesh(t)
 	rm := HyPPIRouter()
 	dev, _ := tech.Optical(tech.HyPPI)
-	assign := Assignment{0, 1, 2, 3, 4}
-	short, _, _ := pathLoss(net, tab, net.Node(0, 0), net.Node(1, 0), rm, assign, dev)
-	long, _, _ := pathLoss(net, tab, net.Node(0, 0), net.Node(15, 15), rm, assign, dev)
+	turnLoss := rm.LossDB
+	wk := newWalker(net, tab, dev)
+	short, _, err := wk.pathLoss(net.Node(0, 0), net.Node(1, 0), &turnLoss, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, _, err := wk.pathLoss(net.Node(0, 0), net.Node(15, 15), &turnLoss, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if long <= short {
 		t.Errorf("corner-to-corner loss %v should exceed neighbour loss %v", long, short)
 	}
@@ -251,6 +261,30 @@ func TestProjectErrors(t *testing.T) {
 	if _, err := ProjectAllOptical(net, tab, tm.Scaled(0), HyPPIRouter(), DefaultParams(), 50); err == nil {
 		t.Error("empty traffic must fail")
 	}
+
+	// A degraded table with a positive-rate pair that has no route: node
+	// 0 of a 4×4 mesh cut off.
+	c := topology.DefaultConfig()
+	c.Width, c.Height = 4, 4
+	small := topology.MustBuild(c)
+	down := make([]bool, len(small.Links))
+	for _, l := range small.Links {
+		if l.Src == 0 || l.Dst == 0 {
+			down[l.ID] = true
+		}
+	}
+	masked, err := small.MaskLinks(down)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded, err := routing.BuildDegraded(masked, routing.MonotoneExpress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := traffic.MustSoteriou(masked, traffic.DefaultSoteriou())
+	if _, err := ProjectAllOptical(masked, degraded, cut, HyPPIRouter(), DefaultParams(), 50); !errors.Is(err, routing.ErrUnreachable) {
+		t.Errorf("unreachable pair: err = %v, want routing.ErrUnreachable", err)
+	}
 }
 
 func TestLossRangeIgnoresNaN(t *testing.T) {
@@ -259,4 +293,28 @@ func TestLossRangeIgnoresNaN(t *testing.T) {
 	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
 		t.Errorf("loss range contaminated by diagonal: %v, %v", lo, hi)
 	}
+}
+
+// TestProjectAllocsFlatInPairs: a projection allocates a fixed handful of
+// buffers (the walker's per-channel steps, the rate rows), never per
+// (src, dst) pair — 16×16 has 16× the pairs of 8×8 and must allocate
+// within a small constant of it.
+func TestProjectAllocsFlatInPairs(t *testing.T) {
+	allocs := func(w int) float64 {
+		c := topology.DefaultConfig()
+		c.Width, c.Height = w, w
+		net := topology.MustBuild(c)
+		tab := routing.MustBuild(net, routing.MonotoneExpress)
+		tm := traffic.MustSoteriou(net, traffic.DefaultSoteriou())
+		return testing.AllocsPerRun(2, func() {
+			if _, err := ProjectAllOptical(net, tab, tm, HyPPIRouter(), DefaultParams(), 50); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(8), allocs(16)
+	if large > small+2 {
+		t.Errorf("ProjectAllOptical allocates %v times at 16x16 vs %v at 8x8: allocations grow with the pairs", large, small)
+	}
+	t.Logf("allocs/call: %v at 8x8, %v at 16x16", small, large)
 }

@@ -31,29 +31,40 @@ type mono struct {
 	net          *topology.Network
 	roles        *dirRoles
 	ringX, ringY bool
+	// xy[id] is node id's (column, row): one load instead of the two
+	// divisions net.X and net.Y cost on every hop of every walk.
+	xy []nodeXY
 }
+
+// nodeXY is one node's grid coordinates.
+type nodeXY struct{ x, y int32 }
 
 // newMono builds the O(n) algorithmic backend for a monotone-kind network.
 func newMono(net *topology.Network) *mono {
+	xy := make([]nodeXY, 0, net.NumNodes())
+	for y := 0; y < net.Height; y++ {
+		for x := 0; x < net.Width; x++ {
+			xy = append(xy, nodeXY{int32(x), int32(y)}) // node y·W + x
+		}
+	}
 	return &mono{
 		net:   net,
 		roles: buildRoles(net),
 		ringX: net.HasDatelineX(),
 		ringY: net.HasDatelineY(),
+		xy:    xy,
 	}
 }
 
 // nextLink resolves the out-channel at `at` heading for `dst` (noLink when
 // equal): X phase first, then Y, as in the constructive builder.
 func (m *mono) nextLink(at, dst topology.NodeID) topology.LinkID {
-	net := m.net
-	ax, dx := net.X(at), net.X(dst)
-	if ax != dx {
-		return m.dimNext(at, ax, dx, net.Width, m.roles.east, m.roles.west, m.ringX)
+	a, d := m.xy[at], m.xy[dst]
+	if a.x != d.x {
+		return m.dimNext(at, int(a.x), int(d.x), m.net.Width, m.roles.east, m.roles.west, m.ringX)
 	}
-	ay, dy := net.Y(at), net.Y(dst)
-	if ay != dy {
-		return m.dimNext(at, ay, dy, net.Height, m.roles.south, m.roles.north, m.ringY)
+	if a.y != d.y {
+		return m.dimNext(at, int(a.y), int(d.y), m.net.Height, m.roles.south, m.roles.north, m.ringY)
 	}
 	return noLink
 }

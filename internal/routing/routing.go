@@ -495,19 +495,31 @@ func (t *Table) NextLinkErr(at, dst topology.NodeID) (topology.LinkID, error) {
 }
 
 // Hop is the single guarded step shared by every route walker (Path,
-// HopCount, LatencyClks, and the analytic evaluator): it resolves the link
-// leaving `at` toward `dst`, rejecting a missing route and enforcing the
-// cyclic-table bound. hops is the number of steps already taken; callers
-// increment it after each Hop. A nil return means the walk failed —
-// HopErr reconstructs the diagnostic. The nil sentinel (rather than an
-// error return) keeps Hop inlinable: the walkers loop over it in the
-// design-space sweep's hottest path, allocation-free.
+// HopCount, LatencyClks, and through HopID the analytic evaluator and the
+// optical projection walker): it resolves the link leaving `at` toward
+// `dst`, rejecting a missing route and enforcing the cyclic-table bound.
+// hops is the number of steps already taken; callers increment it after
+// each Hop. A nil return means the walk failed — HopErr reconstructs the
+// diagnostic. The nil sentinel (rather than an error return) keeps Hop
+// inlinable: the walkers loop over it in the design-space sweep's hottest
+// path, allocation-free.
 func (t *Table) Hop(at, dst topology.NodeID, hops int) *topology.Link {
-	lid := t.NextLink(at, dst)
-	if lid == noLink || hops >= t.net.NumNodes() {
+	lid := t.HopID(at, dst, hops)
+	if lid == noLink {
 		return nil
 	}
 	return &t.net.Links[lid]
+}
+
+// HopID is Hop answering the link's ID, -1 when the walk failed. Walkers
+// that keep their own compact per-link arrays index them with it and never
+// touch the full topology.Link.
+func (t *Table) HopID(at, dst topology.NodeID, hops int) topology.LinkID {
+	lid := t.NextLink(at, dst)
+	if hops >= t.net.NumNodes() {
+		return noLink
+	}
+	return lid
 }
 
 // HopErr reports why Hop(at, dst, hops) returned nil. A missing route

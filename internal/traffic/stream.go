@@ -226,19 +226,25 @@ type soteriouGen struct {
 }
 
 // rowInto writes the unscaled row s into dst using the caller's histogram
-// scratch — the exact computation (and float expression order) of the
-// historical n² builder, which stream_test.go keeps as the oracle.
+// scratch. Every entry is the historical n² builder's expression on the
+// same operands (stream_test.go keeps that builder as the oracle), but it
+// is evaluated once per distance rather than once per destination.
 func (g *soteriouGen) rowInto(s int, dst []float64, counts []int, hopW []float64) {
 	net := g.net
 	src := topology.NodeID(s)
 	for h := range counts {
 		counts[h] = 0
 	}
+	// Each destination's distance is computed once and parked in its own
+	// entry until the per-distance values are known (small integers are
+	// exact in a float64).
 	for d := 0; d < g.n; d++ {
 		if d == s {
 			continue
 		}
-		counts[net.Distance(src, topology.NodeID(d))]++
+		h := net.Distance(src, topology.NodeID(d))
+		counts[h]++
+		dst[d] = float64(h)
 	}
 	// Truncated geometric weight per populated distance, in fixed
 	// (ascending) order for bit-exact determinism.
@@ -253,18 +259,32 @@ func (g *soteriouGen) rowInto(s int, dst []float64, counts []int, hopW []float64
 		totalW += w
 	}
 	rate := g.rates[s]
+	for h := 1; h < g.maxDist; h++ {
+		if counts[h] != 0 {
+			hopW[h] = rate * hopW[h] / totalW / float64(counts[h])
+		}
+	}
 	for d := 0; d < g.n; d++ {
 		if d == s {
 			dst[d] = 0
 			continue
 		}
-		h := net.Distance(src, topology.NodeID(d))
-		dst[d] = rate * hopW[h] / totalW / float64(counts[h])
+		dst[d] = hopW[int(dst[d])]
 	}
 }
 
+// stackDist bounds the distances whose row scratch fillRow keeps on the
+// stack: every grid up to W+H = 128, so streaming a row allocates nothing.
+const stackDist = 128
+
 func (g *soteriouGen) fillRow(s int, dst []float64) {
-	g.rowInto(s, dst, make([]int, g.maxDist), make([]float64, g.maxDist))
+	if g.maxDist > stackDist {
+		g.rowInto(s, dst, make([]int, g.maxDist), make([]float64, g.maxDist))
+		return
+	}
+	var counts [stackDist]int
+	var hopW [stackDist]float64
+	g.rowInto(s, dst, counts[:g.maxDist], hopW[:g.maxDist])
 }
 
 func (g *soteriouGen) rowSums(scale float64, dst []float64) {

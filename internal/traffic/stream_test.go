@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -134,15 +135,26 @@ func requireRowsEqual(t *testing.T, name string, m *Matrix, dense [][]float64) {
 
 // TestSoteriouStreamedBitIdentical: the streamed Soteriou matches the
 // historical n² builder bit for bit — entries, row sums, max row sum, and
-// one ScaledToMaxRate step (the sweep idiom).
+// one ScaledToMaxRate step (the sweep idiom) — on every topology kind
+// (each has its own Distance) at 16×16 and on a rectangular grid.
 func TestSoteriouStreamedBitIdentical(t *testing.T) {
-	net := mesh(t)
 	cfg := DefaultSoteriou()
-	streamed := MustSoteriou(net, cfg)
-	dense := denseSoteriouReference(t, net, cfg)
-	requireRowsEqual(t, "soteriou", streamed, dense)
-	requireRowsEqual(t, "scaled soteriou", streamed.ScaledToMaxRate(0.05),
-		denseScaled(dense, 0.05/denseMaxRowSum(dense)))
+	for _, k := range topology.Kinds() {
+		for _, g := range [][2]int{{16, 16}, {7, 4}} {
+			c := topology.DefaultConfig()
+			c.Kind, c.Width, c.Height = k, g[0], g[1]
+			net, err := topology.Build(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("soteriou %v %dx%d", k, g[0], g[1])
+			streamed := MustSoteriou(net, cfg)
+			dense := denseSoteriouReference(t, net, cfg)
+			requireRowsEqual(t, name, streamed, dense)
+			requireRowsEqual(t, "scaled "+name, streamed.ScaledToMaxRate(0.05),
+				denseScaled(dense, 0.05/denseMaxRowSum(dense)))
+		}
+	}
 }
 
 // TestStreamedAccessorsConsistent: for every registry pattern (and
