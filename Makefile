@@ -102,7 +102,7 @@ bench-baseline:
 
 # One-iteration benchmark run diffed against the pinned baseline
 # (benchstat-style, self-contained — see cmd/hyppi-benchcmp). allocs/op
-# growth beyond both 1% and the tool's absolute slack of 256 allocs fails
+# growth beyond both 1% and the tool's absolute slack of 40 allocs fails
 # (worker pools and concurrent serve clients add scheduling jitter; a real
 # regression is far larger); timings are informational. The JSON comparison lands in BENCH_scale.json for
 # dashboards and CI artifacts.

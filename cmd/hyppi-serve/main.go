@@ -3,8 +3,9 @@
 // want} queries as JSON lines and get back deterministic latency / CLEAR /
 // energy estimates. The engine (internal/serve) answers from a keyed
 // result cache with single-flight dedup of identical in-flight queries,
-// coalesces queued distinct queries into micro-batches on the pooled
-// runner, and rejects with queue_full (HTTP 429) beyond its queue depth.
+// evaluates distinct queries on a pool of -workers evaluators, one query
+// each at a time, and rejects with queue_full (HTTP 429) beyond its queue
+// depth.
 //
 // Usage:
 //
@@ -83,9 +84,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	debugAddr := fs.String("debug-addr", "",
 		"also serve net/http/pprof on this address (e.g. localhost:6060); "+
 			"keep it off public interfaces")
-	workers := fs.Int("workers", 0, "evaluation pool size per batch (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "evaluators answering distinct queries concurrently (0 = GOMAXPROCS)")
 	queueDepth := fs.Int("queue", serve.DefaultQueueDepth, "pending-evaluation queue depth (backpressure bound)")
-	maxBatch := fs.Int("batch", serve.DefaultMaxBatch, "max queries coalesced into one evaluation batch")
 	maxNodes := fs.Int("max-nodes", serve.DefaultMaxNodes, "largest width*height a query may ask for")
 	inFlight := fs.Int("in-flight", serve.DefaultMaxInFlight, "stdio mode: max request lines answered concurrently")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second,
@@ -112,7 +112,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	cfg := serve.DefaultEngineConfig()
 	cfg.Workers = *workers
 	cfg.QueueDepth = *queueDepth
-	cfg.MaxBatch = *maxBatch
 	cfg.MaxNodes = *maxNodes
 	engine := serve.NewEngine(cfg)
 	defer engine.Close()

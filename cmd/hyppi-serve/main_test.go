@@ -51,7 +51,7 @@ func TestGolden(t *testing.T) {
 // TestRunFlagErrors: an unknown flag or a malformed value fails before
 // anything is served, and -h is not an error.
 func TestRunFlagErrors(t *testing.T) {
-	for _, args := range [][]string{{"-bogus"}, {"-queue", "many"}} {
+	for _, args := range [][]string{{"-bogus"}, {"-queue", "many"}, {"-batch", "8"}} {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, strings.NewReader(""), &stdout, &stderr); err == nil || stdout.Len() > 0 {
 			t.Errorf("run %q: err %v, stdout %q; want a flag error and no output", args, err, stdout.String())
@@ -61,5 +61,26 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run([]string{"-h"}, strings.NewReader(""), &stdout, &stderr); err != nil ||
 		!strings.Contains(stderr.String(), "-in-flight") {
 		t.Errorf("-h: err %v, usage %q", err, stderr.String())
+	}
+}
+
+// TestSelftest drives -selftest in-process: a run that clears its floors
+// prints the loadtest line, and an unreachable -min-qps fails with the
+// floor error.
+func TestSelftest(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-selftest", "-queries", "24", "-clients", "4", "-min-hit", "0.5"}
+	if err := run(args, strings.NewReader(""), &stdout, &stderr); err != nil {
+		t.Fatalf("run %q: %v\n%s", args, err, stderr.String())
+	}
+	if !strings.HasPrefix(stdout.String(), "loadtest: 24 queries (24 ok, 0 failed)") {
+		t.Errorf("run %q printed %q, want the loadtest line", args, stdout.String())
+	}
+
+	stdout.Reset()
+	args = []string{"-selftest", "-queries", "12", "-clients", "2", "-min-qps", "1e12"}
+	err := run(args, strings.NewReader(""), &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "q/s floor") {
+		t.Errorf("run %q: err %v, want the q/s floor error", args, err)
 	}
 }

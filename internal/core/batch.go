@@ -15,8 +15,7 @@ import (
 // EvalCell is one serving-layer evaluation request: a single (topology
 // kind, geometry, design point, traffic source, offered load) sample of
 // the matrices PatternSweep and EnergySweep walk as cross products. A
-// serving front end (internal/serve) coalesces heterogeneous queued
-// queries into one EvalCells call, so cells carry their own kind,
+// batch may mix heterogeneous queries, so cells carry their own kind,
 // geometry and rate instead of sharing the sweep's axes.
 type EvalCell struct {
 	// Kind selects the topology family ("" = the Options' kind).
@@ -40,9 +39,9 @@ type EvalCell struct {
 // EvalCellResult is one cell's measured outcome.
 //
 // Unlike the sweep entry points, a cell failure is captured in Err rather
-// than cancelling the batch: a serving layer must answer every query of a
-// coalesced batch independently, so one client's unsatisfiable request
-// (e.g. transpose on a non-square grid) cannot fail its neighbours. Err
+// than cancelling the batch: every query of a batch is answered
+// independently, so one client's unsatisfiable request (e.g. transpose on
+// a non-square grid) cannot fail its neighbours. Err
 // is a deterministic function of the cell, preserving the contract that
 // batched results are bit-identical to serial evaluation.
 type EvalCellResult struct {

@@ -425,8 +425,14 @@ func (wk *walker) turnWeights(tm *traffic.Matrix) (TurnWeights, error) {
 	return w, nil
 }
 
-// linkDirection classifies a channel by its displacement.
+// linkDirection classifies a channel by the way routes use it. That is
+// the sign of its displacement, except on a dateline channel (a torus
+// wrap or a row-closure express), which closes its ring the other way
+// round: 0→W−1 steps west across the wrap.
 func linkDirection(net *topology.Network, l topology.Link) Direction {
+	if l.Dateline {
+		l.Src, l.Dst = l.Dst, l.Src
+	}
 	switch {
 	case l.DX(net) > 0:
 		return East

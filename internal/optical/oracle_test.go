@@ -3,6 +3,7 @@ package optical
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/link"
@@ -17,9 +18,8 @@ import (
 // for the walker: every projection must match them bit for bit, not
 // within a tolerance.
 
-// sameBits is float equality on the bit pattern: NaN equals the same NaN.
-// Routes that turn back on the row-closure ring or across a torus wrap
-// price a U-turn, whose loss is NaN in both forms.
+// sameBits is float equality on the bit pattern, so a NaN in either form
+// (a route priced as a U-turn) can only match the same NaN.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // sameProjection compares every Projection field bit for bit.
@@ -133,8 +133,9 @@ type oracleFabric struct {
 
 // oracleFabrics enumerates every registered kind on 4×4, 8×8 and 6×4 grids
 // (16×16 too outside -short) with express hops 0, 3 and W−1 (the
-// row-closure ring) where the kind takes express channels, plus an 8×8
-// mesh with channels masked that stays connected; each under both routing
+// row-closure ring) where the kind takes express channels, a 5×3 torus, an
+// 8×8 mesh closed into rings in both dimensions (hops 7), and an 8×8 mesh
+// with channels masked that stays connected; each under both routing
 // policies.
 func oracleFabrics(t *testing.T) []oracleFabric {
 	t.Helper()
@@ -173,6 +174,12 @@ func oracleFabrics(t *testing.T) []oracleFabric {
 		}
 	}
 	c := topology.DefaultConfig()
+	c.Kind, c.Width, c.Height = topology.Torus, 5, 3
+	add("torus/5x3", topology.MustBuild(c))
+	c = topology.DefaultConfig()
+	c.Width, c.Height, c.ExpressHops, c.ExpressTech, c.ExpressBothDims = 8, 8, 7, tech.HyPPI, true
+	add("mesh/8x8/h7/2d", topology.MustBuild(c))
+	c = topology.DefaultConfig()
 	c.Width, c.Height, c.ExpressHops, c.ExpressTech = 8, 8, 3, tech.HyPPI
 	net := topology.MustBuild(c)
 	down := make([]bool, len(net.Links))
@@ -193,7 +200,9 @@ func oracleFabrics(t *testing.T) []oracleFabric {
 
 // TestWalkerMatchesPathOracle: the walker's turn weights, every pair's
 // path loss and both routers' projections are bit-identical to the
-// historical tab.Path walks on every oracle fabric.
+// historical tab.Path walks on every oracle fabric, and every projection is
+// finite: a route across a torus wrap or a row-closure express carries on
+// the way it was going, never priced as a U-turn, whose loss is NaN.
 func TestWalkerMatchesPathOracle(t *testing.T) {
 	p := DefaultParams()
 	for _, f := range oracleFabrics(t) {
@@ -244,6 +253,17 @@ func TestWalkerMatchesPathOracle(t *testing.T) {
 			}
 			if want := projectOracle(t, f.net, f.tab, tm, wantW, rm, p, 42.5); !sameProjection(got, want) {
 				t.Fatalf("%s %v: projection\n%+v\noracle\n%+v", f.name, rm.Tech, got, want)
+			}
+			if strings.HasPrefix(f.name, "masked/") {
+				// Its detours reverse (east on base channels, then west
+				// on an express one): a true U-turn in the
+				// five-direction router model.
+				continue
+			}
+			for _, v := range []float64{got.EnergyPerBitJ, got.MeanPathLossDB, got.WorstPathLossDB} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s %v: non-finite projection %+v", f.name, rm.Tech, got)
+				}
 			}
 		}
 	}

@@ -9,14 +9,16 @@
 // # Engine
 //
 // Engine layers the serving concerns over the repository's evaluation
-// core (core.EvalCells on the pooled runner with noc.SimPool reuse):
+// core (one single-cell core.EvalCells call per evaluated query):
 //
 //   - a keyed result cache: queries are canonicalized (registry-cased
 //     names, defaults folded) and identical queries share one result,
 //   - single-flight dedup: identical in-flight queries join the same
 //     evaluation instead of re-running it,
-//   - micro-batching: queued distinct queries coalesce into one
-//     core.EvalCells call, sharing networks, tables and simulators,
+//   - an evaluator pool: Config.Workers goroutines each take one queued
+//     query and answer it as soon as its own cell is evaluated, so a
+//     cheap query never waits for a slow one; networks and tables are
+//     shared through the Options' network cache,
 //   - bounded backpressure: beyond QueueDepth pending evaluations the
 //     engine answers queue_full (HTTP 429) instead of growing without
 //     bound.

@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,9 +24,6 @@ const (
 	DefaultWidth, DefaultHeight = 8, 8
 	// DefaultMaxNodes bounds requested grids (64×64).
 	DefaultMaxNodes = 4096
-	// DefaultMaxBatch caps how many queued queries coalesce into one
-	// core.EvalCells call.
-	DefaultMaxBatch = 64
 	// DefaultQueueDepth bounds the pending-evaluation queue; beyond it
 	// the engine answers queue_full instead of growing without bound.
 	DefaultQueueDepth = 256
@@ -49,12 +47,11 @@ type Config struct {
 	// configuration); Rates is unused — each query carries its own load.
 	// The zero value selects core.DefaultEnergySweep.
 	Sweep core.EnergySweepConfig
-	// Workers sizes the evaluation pool a batch fans out on
-	// (0 = GOMAXPROCS).
+	// Workers is the number of evaluator goroutines, each evaluating one
+	// queued query at a time (0 = GOMAXPROCS).
 	Workers int
-	// MaxBatch, QueueDepth, MaxNodes, CacheEntries and TraceScale
-	// default to the package constants when zero.
-	MaxBatch   int
+	// QueueDepth, MaxNodes, CacheEntries and TraceScale default to the
+	// package constants when zero.
 	QueueDepth int
 	MaxNodes   int
 	// CacheEntries caps the result cache; least-recently-used completed
@@ -70,7 +67,6 @@ func DefaultEngineConfig() Config {
 	return Config{
 		Options:      core.DefaultOptions(),
 		Sweep:        core.DefaultEnergySweep(),
-		MaxBatch:     DefaultMaxBatch,
 		QueueDepth:   DefaultQueueDepth,
 		MaxNodes:     DefaultMaxNodes,
 		CacheEntries: DefaultCacheEntries,
@@ -87,8 +83,8 @@ func (c Config) withDefaults() Config {
 	if c.Sweep.Workload.SizeFlits == 0 && c.Sweep.Workload.Cycles == 0 {
 		c.Sweep = core.DefaultEnergySweep()
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = DefaultQueueDepth
@@ -114,10 +110,9 @@ type Stats struct {
 	// Evaluations counts cells actually evaluated (one per distinct
 	// canonical query, however many clients asked for it).
 	Evaluations uint64
-	// Batches counts core.EvalCells calls; MaxBatch is the largest
-	// coalesced batch seen.
-	Batches  uint64
-	MaxBatch int
+	// Batches counts core.EvalCells calls: one per evaluation, so it
+	// equals Evaluations.
+	Batches uint64
 	// Rejected counts queue-full backpressure rejections.
 	Rejected uint64
 	// Evictions counts completed entries dropped by the LRU bound
@@ -126,8 +121,8 @@ type Stats struct {
 	// CacheEntries is the current number of cached canonical queries,
 	// never above Config.CacheEntries.
 	CacheEntries int
-	// QueueDepth is the number of evaluations pending in the dispatcher
-	// queue at snapshot time (a gauge, unlike the counters above).
+	// QueueDepth is the number of evaluations queued for a free
+	// evaluator at snapshot time (a gauge, unlike the counters above).
 	QueueDepth int
 	// UptimeSeconds is the time since the engine started.
 	UptimeSeconds float64
@@ -162,13 +157,12 @@ type job struct {
 }
 
 // Engine is the query-serving core: a keyed result cache with
-// single-flight deduplication in front of a micro-batching dispatcher
-// that coalesces queued queries into core.EvalCells calls on the pooled
-// runner. Responses are deterministic: a query's result is a pure
-// function of its canonical form, so concurrent clients receive answers
-// bit-identical to serial evaluation, however requests interleave, batch
-// or dedup (the CONCURRENCY contract in CHANGES.md, extended to the
-// serving layer).
+// single-flight deduplication in front of a pool of Config.Workers
+// evaluators, each answering one queued query at a time. Responses are
+// deterministic: a query's result is a pure function of its canonical
+// form, so concurrent clients receive answers bit-identical to serial
+// evaluation, however requests interleave or dedup (the CONCURRENCY
+// contract in CHANGES.md, extended to the serving layer).
 type Engine struct {
 	cfg Config
 
@@ -186,10 +180,9 @@ type Engine struct {
 	draining atomic.Bool
 
 	queue        chan *job
-	dispatcherWG sync.WaitGroup
+	evaluatorsWG sync.WaitGroup
 
-	hits, misses, evals, batches, rejected, evictions atomic.Uint64
-	maxBatch                                          atomic.Int64
+	hits, misses, evals, rejected, evictions atomic.Uint64
 
 	// start anchors the uptime gauge; the latency fields feed the
 	// /metrics service-latency histogram (latMu keeps hist+sum+overflow
@@ -200,10 +193,10 @@ type Engine struct {
 	latSum  float64
 	latOver int64
 
-	// evalHook, when set before the first query, observes every batch
-	// just before evaluation (test instrumentation: the single-flight
-	// tests gate evaluation on it).
-	evalHook func([]core.EvalCell)
+	// evalHook, when set before the first query, runs just before every
+	// evaluation (test instrumentation: the single-flight tests gate
+	// evaluation on it).
+	evalHook func()
 }
 
 // Service-latency histogram shape: fixed-width buckets over [0,
@@ -228,12 +221,14 @@ func NewEngine(cfg Config) *Engine {
 		latHist: hist,
 	}
 	e.queue = make(chan *job, e.cfg.QueueDepth)
-	e.dispatcherWG.Add(1)
-	go e.dispatch()
+	e.evaluatorsWG.Add(e.cfg.Workers)
+	for range e.cfg.Workers {
+		go e.evaluate()
+	}
 	return e
 }
 
-// Close stops the dispatcher after draining queued work. Queries already
+// Close stops the evaluators after draining queued work. Queries already
 // waiting complete; new queries are rejected.
 func (e *Engine) Close() {
 	e.mu.Lock()
@@ -242,13 +237,13 @@ func (e *Engine) Close() {
 		close(e.queue)
 	}
 	e.mu.Unlock()
-	e.dispatcherWG.Wait()
+	e.evaluatorsWG.Wait()
 }
 
 // StartDraining flips the engine into its graceful-shutdown window: the
 // transports reject queries arriving afterwards with code "draining"
 // (HTTP 503) while accepted queries run to completion. Idempotent; Close
-// still owns stopping the dispatcher.
+// still owns stopping the evaluators.
 func (e *Engine) StartDraining() { e.draining.Store(true) }
 
 // Draining reports whether StartDraining has been called.
@@ -263,8 +258,7 @@ func (e *Engine) Stats() Stats {
 		Hits:          e.hits.Load(),
 		Misses:        e.misses.Load(),
 		Evaluations:   e.evals.Load(),
-		Batches:       e.batches.Load(),
-		MaxBatch:      int(e.maxBatch.Load()),
+		Batches:       e.evals.Load(),
 		Rejected:      e.rejected.Load(),
 		Evictions:     e.evictions.Load(),
 		CacheEntries:  entries,
@@ -290,7 +284,7 @@ func (e *Engine) observeLatency(d time.Duration) {
 
 // Do answers one query: validate and canonicalize, join the cached or
 // in-flight evaluation when one exists, otherwise enqueue a fresh cell
-// for the dispatcher (rejecting with queue_full when the pending queue is
+// for the evaluators (rejecting with queue_full when the pending queue is
 // at QueueDepth — graceful backpressure instead of unbounded goroutines).
 // Do blocks until the answer is ready or ctx is done; a canceled wait
 // returns a canceled error while the evaluation itself completes and
@@ -352,7 +346,7 @@ func (e *Engine) Do(ctx context.Context, req Request) Response {
 
 // evictLocked drops the least-recently-used completed entry, reporting
 // whether one was found. In-flight entries are pinned — their waiters
-// joined through the cache and the dispatcher still owns their jobs — so
+// joined through the cache and an evaluator still owns their jobs — so
 // the scan walks from the cold end skipping anything not yet done.
 // Callers hold e.mu.
 func (e *Engine) evictLocked() bool {
@@ -370,60 +364,25 @@ func (e *Engine) evictLocked() bool {
 	return false
 }
 
-// dispatch is the micro-batcher: it blocks for one queued job, greedily
-// drains whatever else is already pending (up to MaxBatch), and evaluates
-// the coalesced cells as one core.EvalCells call. Under concurrent load
-// arrivals pile up while the previous batch evaluates, so batching
-// emerges from pressure with no artificial delay added to a lone query.
-func (e *Engine) dispatch() {
-	defer e.dispatcherWG.Done()
-	for {
-		j, ok := <-e.queue
-		if !ok {
-			return
+// evaluate is one evaluator: it takes queued jobs one at a time and
+// completes each entry as soon as its own cell is evaluated, so a cheap
+// query never waits for a slow one another evaluator holds.
+func (e *Engine) evaluate() {
+	defer e.evaluatorsWG.Done()
+	for j := range e.queue {
+		if e.evalHook != nil {
+			e.evalHook()
 		}
-		batch := []*job{j}
-	drain:
-		for len(batch) < e.cfg.MaxBatch {
-			select {
-			case j2, ok2 := <-e.queue:
-				if !ok2 {
-					break drain
-				}
-				batch = append(batch, j2)
-			default:
-				break drain
-			}
-		}
-		e.runBatch(batch)
-	}
-}
-
-// runBatch evaluates one coalesced batch and completes its entries.
-func (e *Engine) runBatch(batch []*job) {
-	cells := make([]core.EvalCell, len(batch))
-	for i, j := range batch {
-		cells[i] = e.cellFor(j.canon)
-	}
-	if e.evalHook != nil {
-		e.evalHook(cells)
-	}
-	e.batches.Add(1)
-	if n := int64(len(batch)); n > e.maxBatch.Load() {
-		e.maxBatch.Store(n)
-	}
-	e.evals.Add(uint64(len(cells)))
-
-	results, err := core.EvalCells(context.Background(), cells, e.cfg.Sweep, e.cfg.Options,
-		runner.Config{Workers: e.cfg.Workers})
-	for i, j := range batch {
+		e.evals.Add(1)
+		results, err := core.EvalCells(context.Background(), []core.EvalCell{e.cellFor(j.canon)},
+			e.cfg.Sweep, e.cfg.Options, runner.Config{Workers: 1})
 		switch {
 		case err != nil:
 			j.ent.err = errf(CodeEvalFailed, "", "%v", err)
-		case results[i].Err != nil:
-			j.ent.err = errf(CodeEvalFailed, "", "%v", results[i].Err)
+		case results[0].Err != nil:
+			j.ent.err = errf(CodeEvalFailed, "", "%v", results[0].Err)
 		default:
-			j.ent.res = buildResult(j.canon, results[i])
+			j.ent.res = buildResult(j.canon, results[0])
 		}
 		close(j.ent.done)
 	}

@@ -7,15 +7,15 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // serveRequests is a mixed workload: distinct queries across kinds,
 // patterns, loads, wants and a kernel trace, plus duplicates of several —
-// the shape the cache, single-flight dedup and batcher all see at once.
+// the shape the cache, single-flight dedup and evaluator pool all see at
+// once.
 func serveRequests() []Request {
 	distinct := []Request{
 		{Width: 4, Height: 4, Pattern: "uniform", Load: 0.05},
@@ -42,13 +42,13 @@ func serveRequests() []Request {
 // TestConcurrentMatchesSerial is the serving determinism contract at the
 // wire level: N goroutines racing the same workload through a fresh
 // engine produce responses byte-identical to a fresh engine answering the
-// same requests one at a time — whatever batching, dedup or scheduling
-// happened in between.
+// same requests one at a time — whatever dedup or scheduling happened in
+// between.
 func TestConcurrentMatchesSerial(t *testing.T) {
 	reqs := serveRequests()
 	ctx := context.Background()
 
-	serial := newTestEngine(t, func(c *Config) { c.Workers = 1; c.MaxBatch = 1 })
+	serial := newTestEngine(t, func(c *Config) { c.Workers = 1 })
 	want := make([][]byte, len(reqs))
 	for i, r := range reqs {
 		want[i] = serial.Do(ctx, r).Encode()
@@ -80,15 +80,17 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 	}
 }
 
-// gateEngine installs an evaluation gate: every batch announces itself on
-// entered and blocks until a value arrives on release.
-func gateEngine(t *testing.T, mutate ...func(*Config)) (*Engine, chan []core.EvalCell, chan struct{}) {
+// gateEngine installs an evaluation gate on a one-evaluator engine: every
+// evaluation announces itself on entered and blocks until a value arrives
+// on release, so at most one evaluation is ever busy.
+func gateEngine(t *testing.T, mutate ...func(*Config)) (*Engine, chan struct{}, chan struct{}) {
 	t.Helper()
-	e := newTestEngine(t, mutate...)
-	entered := make(chan []core.EvalCell)
+	oneEvaluator := func(c *Config) { c.Workers = 1 }
+	e := newTestEngine(t, append(mutate, oneEvaluator)...)
+	entered := make(chan struct{})
 	release := make(chan struct{})
-	e.evalHook = func(cells []core.EvalCell) {
-		entered <- cells
+	e.evalHook = func() {
+		entered <- struct{}{}
 		<-release
 	}
 	return e, entered, release
@@ -119,10 +121,7 @@ func TestSingleFlightDedup(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { defer wg.Done(); responses[0] = e.Do(ctx, req).Encode() }()
-	cells := <-entered // first query is now mid-evaluation
-	if len(cells) != 1 {
-		t.Errorf("want a 1-cell batch, got %d", len(cells))
-	}
+	<-entered // first query is now mid-evaluation
 
 	for i := 1; i < k; i++ {
 		wg.Add(1)
@@ -145,7 +144,7 @@ func TestSingleFlightDedup(t *testing.T) {
 	}
 }
 
-// TestBackpressureQueueFull: with a depth-1 queue and the dispatcher
+// TestBackpressureQueueFull: with a depth-1 queue and the one evaluator
 // gated, a third distinct query is rejected with queue_full instead of
 // blocking or growing state; the queued queries still answer.
 func TestBackpressureQueueFull(t *testing.T) {
@@ -159,7 +158,7 @@ func TestBackpressureQueueFull(t *testing.T) {
 	results := make([]Response, 2)
 	wg.Add(1)
 	go func() { defer wg.Done(); results[0] = e.Do(ctx, q(0.05)) }()
-	<-entered // dispatcher is busy with query 1; the queue is empty again
+	<-entered // the evaluator is busy with query 1; the queue is empty again
 
 	wg.Add(1)
 	go func() { defer wg.Done(); results[1] = e.Do(ctx, q(0.1)) }()
@@ -171,7 +170,7 @@ func TestBackpressureQueueFull(t *testing.T) {
 	}
 
 	release <- struct{}{}
-	<-entered // batch 2 (the queued query)
+	<-entered // query 2, taken from the queue
 	release <- struct{}{}
 	wg.Wait()
 	for i, r := range results {
@@ -230,36 +229,45 @@ func TestCloseRejectsNewQueries(t *testing.T) {
 	// is a hang or a send on the closed queue (the race build checks it).
 }
 
-// TestMicroBatchCoalescing: queries piling up behind a gated dispatcher
-// are evaluated as one multi-cell batch.
-func TestMicroBatchCoalescing(t *testing.T) {
-	e, entered, release := gateEngine(t)
+// TestNoHeadOfLine: with two evaluators, a slow evaluation does not hold
+// up a distinct query behind it — the second query is answered while the
+// first is still held.
+func TestNoHeadOfLine(t *testing.T) {
+	e := newTestEngine(t, func(c *Config) { c.Workers = 2 })
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var held atomic.Bool
+	e.evalHook = func() {
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+	}
 	ctx := context.Background()
+	q := func(load float64) Request {
+		return Request{Width: 4, Height: 4, Pattern: "uniform", Load: load}
+	}
 
+	var first Response
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); e.Do(ctx, Request{Width: 4, Height: 4, Pattern: "uniform", Load: 0.05}) }()
-	<-entered // dispatcher busy; subsequent queries queue up
+	go func() { defer wg.Done(); first = e.Do(ctx, q(0.05)) }()
+	<-entered // the first query is held mid-evaluation
 
-	loads := []float64{0.1, 0.15, 0.2}
-	for _, load := range loads {
-		wg.Add(1)
-		go func(load float64) {
-			defer wg.Done()
-			e.Do(ctx, Request{Width: 4, Height: 4, Pattern: "uniform", Load: load})
-		}(load)
+	second := make(chan Response, 1)
+	go func() { second <- e.Do(ctx, q(0.1)) }()
+	select {
+	case r := <-second:
+		if !r.OK {
+			t.Errorf("second query failed: %+v", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("second query waited behind the held evaluation")
 	}
-	waitStats(t, e, func(s Stats) bool { return s.Misses == 4 }, "3 queries queued")
-	release <- struct{}{}
-
-	cells := <-entered
-	if len(cells) != len(loads) {
-		t.Errorf("want the %d queued queries coalesced into one batch, got %d cells", len(loads), len(cells))
-	}
-	release <- struct{}{}
+	close(release)
 	wg.Wait()
-	if st := e.Stats(); st.Batches != 2 || st.MaxBatch != len(loads) {
-		t.Errorf("want 2 batches with max %d, got %+v", len(loads), st)
+	if !first.OK {
+		t.Errorf("held query failed: %+v", first)
 	}
 }
 

@@ -80,9 +80,9 @@ type Report struct {
 
 // String renders the one-line summary the CLI prints.
 func (r Report) String() string {
-	return fmt.Sprintf("loadtest: %d queries (%d ok, %d failed) in %s = %.1f q/s, hit rate %.1f%%, %d evaluated, max batch %d",
+	return fmt.Sprintf("loadtest: %d queries (%d ok, %d failed) in %s = %.1f q/s, hit rate %.1f%%, %d evaluated",
 		r.Queries, r.OK, r.Failed, r.Duration.Round(time.Millisecond), r.QPS,
-		100*r.HitRate, r.Distinct, r.Stats.MaxBatch)
+		100*r.HitRate, r.Distinct)
 }
 
 // Run replays the mix until cfg.Queries queries have been answered and

@@ -66,7 +66,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	counter("hyppi_serve_evaluations_total",
 		"Simulation cells evaluated (one per distinct canonical query).", st.Evaluations)
 	counter("hyppi_serve_eval_batches_total",
-		"core.EvalCells calls (coalesced micro-batches).", st.Batches)
+		"core.EvalCells calls (one per evaluation).", st.Batches)
 	counter("hyppi_serve_cache_evictions_total",
 		"Completed cache entries dropped by the LRU bound.", st.Evictions)
 
@@ -74,11 +74,8 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 		"Cached canonical queries (completed and in flight).",
 		strconv.Itoa(st.CacheEntries))
 	gauge("hyppi_serve_queue_depth",
-		"Evaluations pending in the dispatcher queue.",
+		"Evaluations queued for a free evaluator.",
 		strconv.Itoa(st.QueueDepth))
-	gauge("hyppi_serve_max_batch_size",
-		"Largest coalesced batch seen since start.",
-		strconv.Itoa(st.MaxBatch))
 	draining := "0"
 	if e.Draining() {
 		draining = "1"

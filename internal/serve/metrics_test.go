@@ -93,7 +93,6 @@ func TestMetricsFormatAndCounts(t *testing.T) {
 		`hyppi_serve_eval_batches_total`:               float64(st.Batches),
 		`hyppi_serve_cache_evictions_total`:            float64(st.Evictions),
 		`hyppi_serve_cache_entries`:                    float64(st.CacheEntries),
-		`hyppi_serve_max_batch_size`:                   float64(st.MaxBatch),
 		`hyppi_serve_draining`:                         0,
 	}
 	for name, want := range checks {

@@ -9,9 +9,9 @@ import (
 )
 
 // DefaultMaxInFlight bounds how many stdio request lines are being
-// answered at once: read-ahead stalls beyond it, which is what lets a
-// fast client's queries pile up into coalesced batches without the
-// server ever holding unbounded state.
+// answered at once: read-ahead stalls beyond it, so a fast client's
+// queries overlap on the evaluator pool without the server ever holding
+// unbounded state.
 const DefaultMaxInFlight = 32
 
 // maxLineBytes bounds one request line (defense against unframed input).
@@ -20,12 +20,13 @@ const maxLineBytes = 1 << 20
 // ServeLines runs the JSON-lines protocol (the BookSim2-style cosim
 // interface): one request object per line on r, one response line on w,
 // responses in request order. Lines are answered concurrently — up to
-// maxInFlight queries overlap, so identical and compatible queries dedup
-// and batch inside the engine — but the writer releases them strictly in
-// input order, keeping the stream usable without IDs. Blank lines are
-// ignored; malformed lines get a structured bad_json response rather
-// than killing the session. ServeLines returns on EOF, write failure or
-// ctx cancellation (maxInFlight <= 0 selects DefaultMaxInFlight).
+// maxInFlight queries overlap, so identical queries dedup and distinct
+// ones evaluate in parallel inside the engine — but the writer releases
+// them strictly in input order, keeping the stream usable without IDs.
+// Blank lines are ignored; malformed lines get a structured bad_json
+// response rather than killing the session. ServeLines returns on EOF,
+// write failure or ctx cancellation (maxInFlight <= 0 selects
+// DefaultMaxInFlight).
 func (e *Engine) ServeLines(ctx context.Context, r io.Reader, w io.Writer, maxInFlight int) error {
 	if maxInFlight <= 0 {
 		maxInFlight = DefaultMaxInFlight
