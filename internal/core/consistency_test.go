@@ -48,17 +48,17 @@ func TestSweepFamiliesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cells []EvalCell
+	var evals []EvalCellResult
 	for _, p := range points {
 		for _, pat := range pats {
 			for _, r := range sc.Rates {
-				cells = append(cells, EvalCell{Point: p, Pattern: pat, Rate: r, Energy: true})
+				ev, err := Eval(EvalCell{Point: p, Pattern: pat, Rate: r, Energy: true}, sc, o)
+				if err != nil {
+					t.Fatalf("%v / %s @ %v: %v", p, pat.Name(), r, err)
+				}
+				evals = append(evals, ev)
 			}
 		}
-	}
-	evals, err := EvalCells(ctx, cells, sc, o, pool)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(curves) != len(energies) || len(evals) != len(energies)*len(sc.Rates) {
 		t.Fatalf("%d curves, %d energy cells, %d evaluations", len(curves), len(energies), len(evals))
@@ -77,9 +77,6 @@ func TestSweepFamiliesAgree(t *testing.T) {
 		for ri, rate := range sc.Rates {
 			lp, ep, ev := c.Points[ri], e.Points[ri], evals[ci*len(sc.Rates)+ri]
 			where := func() string { return c.Point.String() + " / " + c.Pattern }
-			if ev.Err != nil {
-				t.Fatalf("%s @ %v: %v", where(), rate, ev.Err)
-			}
 			if lp.Saturated != ep.Saturated || lp.AvgLatencyClks != ep.AvgLatencyClks ||
 				lp.P99LatencyClks != ep.P99LatencyClks {
 				t.Errorf("%s @ %v: pattern point %+v vs energy point (sat %v, avg %v, p99 %v)",
@@ -138,12 +135,11 @@ func TestSweepFamiliesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := EvalCells(ctx, []EvalCell{{Point: p, Trace: &lu}}, tsc, o, pool)
+		ev, err := Eval(EvalCell{Point: p, Trace: &lu}, tsc, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := got[0]
-		if ev.Err != nil || ev.Saturated || ev.AvgLatencyClks != want.AvgLatencyClks ||
+		if ev.Saturated || ev.AvgLatencyClks != want.AvgLatencyClks ||
 			ev.P99LatencyClks != want.Stats.P99PacketLatencyClks ||
 			ev.Cycles != want.Stats.Cycles || ev.Packets != want.Stats.PacketsEjected {
 			t.Errorf("%v: trace cell %+v vs trace experiment (avg %v, cycles %d, packets %d)",

@@ -14,7 +14,7 @@
 //	FaultSweep          — availability and CLEAR degradation under faults
 //	TaskGraphSweep      — closed-loop operator-graph makespans
 //	TelemetrySweep      — sampled packet traces and windowed probes
-//	EvalCells           — heterogeneous serving batches
+//	Eval                — one serving cell (a single query)
 //
 // The cycle-accurate families share one engine (sweep.go): a fabric
 // resolver and a single simulate step over a batch-wide simulator pool.
@@ -402,9 +402,6 @@ func CLEARRatioVsPlain(results []ExplorationResult) map[DesignPoint]float64 {
 	}
 	return out
 }
-
-// FormatPower renders watts for tables.
-func FormatPower(w float64) string { return units.FormatSI(w, "W") }
 
 // FormatEnergy renders joules for tables.
 func FormatEnergy(j float64) string { return units.FormatSI(j, "J") }

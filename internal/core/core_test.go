@@ -172,9 +172,6 @@ func TestDesignPointString(t *testing.T) {
 }
 
 func TestFormatHelpers(t *testing.T) {
-	if got := FormatPower(1.53); got != "1.53 W" {
-		t.Errorf("FormatPower = %q", got)
-	}
 	if got := FormatEnergy(4.2e-3); got != "4.2 mJ" {
 		t.Errorf("FormatEnergy = %q", got)
 	}

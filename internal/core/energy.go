@@ -12,7 +12,7 @@ import (
 )
 
 // EnergySweepConfig parameterizes the open-loop load-ladder sweeps
-// (PatternSweep, EnergySweep) and the serving batches (EvalCells).
+// (PatternSweep, EnergySweep) and the serving cells (Eval).
 type EnergySweepConfig struct {
 	// Rates is the ascending offered-load grid in flits/cycle; the
 	// ladder's latency-knee rule (detectSaturation) reads the first rate

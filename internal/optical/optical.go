@@ -16,6 +16,7 @@
 package optical
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -62,6 +63,10 @@ type RouterModel struct {
 
 // uturn marks the unusable diagonal.
 var uturn = math.NaN()
+
+// ErrUTurn reports a route that reverses direction inside a router, a
+// turn the router models cannot price (their loss diagonal is NaN).
+var ErrUTurn = errors.New("optical: route makes a U-turn")
 
 // HyPPIRouter returns the paper's all-HyPPI router (Fig. 7, Table VI):
 // built from ultra-compact plasmonic MOS 2×2 electro-optic switches
@@ -285,6 +290,9 @@ func ProjectAllOptical(net *topology.Network, tab *routing.Table, tm *traffic.Ma
 			lossDB, _, err := wk.pathLoss(topology.NodeID(s), topology.NodeID(d), &turnLoss, sourceDB)
 			if err != nil {
 				return Projection{}, err
+			}
+			if math.IsNaN(lossDB) { // some hop priced the uturn diagonal
+				return Projection{}, fmt.Errorf("optical: %d -> %d: %w", s, d, ErrUTurn)
 			}
 			laserW := sens * penalty / units.TransmissionFromLossDB(lossDB) / eff
 			// Control energy is charged once per bit, not per router:

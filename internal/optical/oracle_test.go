@@ -1,6 +1,7 @@
 package optical
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -202,7 +203,9 @@ func oracleFabrics(t *testing.T) []oracleFabric {
 // path loss and both routers' projections are bit-identical to the
 // historical tab.Path walks on every oracle fabric, and every projection is
 // finite: a route across a torus wrap or a row-closure express carries on
-// the way it was going, never priced as a U-turn, whose loss is NaN.
+// the way it was going, never priced as a U-turn, whose loss is NaN. The
+// masked fabric's detours do reverse, and its projection fails with
+// ErrUTurn instead of returning NaN.
 func TestWalkerMatchesPathOracle(t *testing.T) {
 	p := DefaultParams()
 	for _, f := range oracleFabrics(t) {
@@ -248,17 +251,23 @@ func TestWalkerMatchesPathOracle(t *testing.T) {
 				}
 			}
 			got, err := ProjectAllOptical(f.net, f.tab, tm, rm, p, 42.5)
-			if err != nil {
-				t.Fatalf("%s: %v", f.name, err)
-			}
-			if want := projectOracle(t, f.net, f.tab, tm, wantW, rm, p, 42.5); !sameProjection(got, want) {
-				t.Fatalf("%s %v: projection\n%+v\noracle\n%+v", f.name, rm.Tech, got, want)
-			}
+			want := projectOracle(t, f.net, f.tab, tm, wantW, rm, p, 42.5)
 			if strings.HasPrefix(f.name, "masked/") {
 				// Its detours reverse (east on base channels, then west
 				// on an express one): a true U-turn in the
-				// five-direction router model.
+				// five-direction router model, which the oracle prices
+				// as NaN and the projection refuses.
+				if !errors.Is(err, ErrUTurn) || !math.IsNaN(want.MeanPathLossDB) {
+					t.Fatalf("%s %v: err %v, oracle mean loss %v; want ErrUTurn over a NaN oracle",
+						f.name, rm.Tech, err, want.MeanPathLossDB)
+				}
 				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", f.name, err)
+			}
+			if !sameProjection(got, want) {
+				t.Fatalf("%s %v: projection\n%+v\noracle\n%+v", f.name, rm.Tech, got, want)
 			}
 			for _, v := range []float64{got.EnergyPerBitJ, got.MeanPathLossDB, got.WorstPathLossDB} {
 				if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -29,13 +29,6 @@ type Config struct {
 	MutexPath string
 }
 
-// Start begins CPU profiling to cpuPath and arranges a heap profile at
-// memPath (either may be empty to skip). It is the historical two-profile
-// entry point; StartAll adds block and mutex profiles.
-func Start(cpuPath, memPath string) (stop func(), err error) {
-	return StartAll(Config{CPUPath: cpuPath, MemPath: memPath})
-}
-
 // StartAll arms every profiler named in cfg. The returned stop function
 // must run before the process exits — call it via defer from a run()
 // helper that returns an exit code rather than calling os.Exit directly,

@@ -9,7 +9,7 @@
 // # Engine
 //
 // Engine layers the serving concerns over the repository's evaluation
-// core (one single-cell core.EvalCells call per evaluated query):
+// core (one core.Eval call per evaluated query):
 //
 //   - a keyed result cache: queries are canonicalized (registry-cased
 //     names, defaults folded) and identical queries share one result,

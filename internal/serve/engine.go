@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/npb"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/tech"
 	"repro/internal/topology"
@@ -110,8 +109,8 @@ type Stats struct {
 	// Evaluations counts cells actually evaluated (one per distinct
 	// canonical query, however many clients asked for it).
 	Evaluations uint64
-	// Batches counts core.EvalCells calls: one per evaluation, so it
-	// equals Evaluations.
+	// Batches equals Evaluations: each evaluation is one core.Eval
+	// call. It is kept because perfbench's serve workload reads it.
 	Batches uint64
 	// Rejected counts queue-full backpressure rejections.
 	Rejected uint64
@@ -374,15 +373,10 @@ func (e *Engine) evaluate() {
 			e.evalHook()
 		}
 		e.evals.Add(1)
-		results, err := core.EvalCells(context.Background(), []core.EvalCell{e.cellFor(j.canon)},
-			e.cfg.Sweep, e.cfg.Options, runner.Config{Workers: 1})
-		switch {
-		case err != nil:
+		if r, err := core.Eval(e.cellFor(j.canon), e.cfg.Sweep, e.cfg.Options); err != nil {
 			j.ent.err = errf(CodeEvalFailed, "", "%v", err)
-		case results[0].Err != nil:
-			j.ent.err = errf(CodeEvalFailed, "", "%v", results[0].Err)
-		default:
-			j.ent.res = buildResult(j.canon, results[0])
+		} else {
+			j.ent.res = buildResult(j.canon, r)
 		}
 		close(j.ent.done)
 	}

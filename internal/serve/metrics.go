@@ -65,8 +65,6 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 
 	counter("hyppi_serve_evaluations_total",
 		"Simulation cells evaluated (one per distinct canonical query).", st.Evaluations)
-	counter("hyppi_serve_eval_batches_total",
-		"core.EvalCells calls (one per evaluation).", st.Batches)
 	counter("hyppi_serve_cache_evictions_total",
 		"Completed cache entries dropped by the LRU bound.", st.Evictions)
 

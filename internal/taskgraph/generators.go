@@ -2,6 +2,7 @@ package taskgraph
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/topology"
@@ -50,6 +51,29 @@ func chunk(sizeFlits, k int) int {
 		return c
 	}
 	return 1
+}
+
+// newGraph starts a graph with room for msgs messages and a Deps buffer
+// of deps entries, so its generator fills both without regrowing either.
+func newGraph(name string, n, msgs, deps int) (*Graph, *depBuf) {
+	buf := make(depBuf, 0, deps)
+	return &Graph{Name: name, NumNodes: n, Messages: make([]Message, 0, msgs)}, &buf
+}
+
+// depBuf is one graph's Deps backing array. Each slice it hands out is
+// capped at its own length (a full slice expression), so an append to one
+// message's Deps copies it instead of clobbering its neighbour's.
+type depBuf []int
+
+// deps copies ids into the buffer and returns them as one capped slice;
+// no ids yields nil.
+func (b *depBuf) deps(ids ...int) []int {
+	if len(ids) == 0 {
+		return nil
+	}
+	k := len(*b)
+	*b = append(*b, ids...)
+	return (*b)[k:len(*b):len(*b)]
 }
 
 // Generator is a named task-graph builder: a pure function of (node count,
@@ -168,16 +192,23 @@ func ParseGenerators(spec string) ([]Generator, error) {
 // (it cannot reduce what has not arrived), with ComputeClks for the
 // reduction op. ⌈log₂N⌉ rounds, N−1 messages.
 func genReduce(n int, cfg GenConfig) (*Graph, error) {
-	g := &Graph{Name: "reduce", NumNodes: n}
-	buildReduce(g, n, cfg)
+	g, buf := newGraph("reduce", n, n-1, n-1)
+	buildReduce(g, buf, n, cfg)
 	return g, nil
 }
 
 // buildReduce appends the binomial reduce-to-0 messages to g and returns
 // the indices of the messages node 0 received (the root's inputs), so
-// tree-allreduce can hang the broadcast off them.
-func buildReduce(g *Graph, n int, cfg GenConfig) []int {
+// tree-allreduce can hang the broadcast off them. A node receives at most
+// one message per round, so each node's receive list is cut from one
+// shared array with room for every round.
+func buildReduce(g *Graph, buf *depBuf, n int, cfg GenConfig) []int {
+	rounds := bits.Len(uint(n - 1))
+	back := make([]int, n*rounds)
 	recv := make([][]int, n)
+	for i := range recv {
+		recv[i] = back[i*rounds : i*rounds : (i+1)*rounds]
+	}
 	for stride := 1; stride < n; stride *= 2 {
 		for src := stride; src < n; src += 2 * stride {
 			dst := src - stride
@@ -187,7 +218,7 @@ func buildReduce(g *Graph, n int, cfg GenConfig) []int {
 				Dst:         topology.NodeID(dst),
 				SizeFlits:   cfg.SizeFlits,
 				ComputeClks: cfg.ComputeClks,
-				Deps:        append([]int(nil), recv[src]...),
+				Deps:        buf.deps(recv[src]...),
 			})
 			recv[dst] = append(recv[dst], idx)
 		}
@@ -199,14 +230,14 @@ func buildReduce(g *Graph, n int, cfg GenConfig) []int {
 // tree run in reverse. The root's sends carry ComputeClks (the producer);
 // forwards are pure copies and carry zero.
 func genBroadcast(n int, cfg GenConfig) (*Graph, error) {
-	g := &Graph{Name: "broadcast", NumNodes: n}
-	buildBroadcast(g, n, cfg, nil)
+	g, buf := newGraph("broadcast", n, n-1, n-1)
+	buildBroadcast(g, buf, n, cfg, nil)
 	return g, nil
 }
 
 // buildBroadcast appends the binomial broadcast-from-0 messages to g. The
 // root's sends depend on rootDeps (nil for a standalone broadcast).
-func buildBroadcast(g *Graph, n int, cfg GenConfig, rootDeps []int) {
+func buildBroadcast(g *Graph, buf *depBuf, n int, cfg GenConfig, rootDeps []int) {
 	// recvMsg[i] is the message by which node i obtained the value.
 	recvMsg := make([]int, n)
 	for i := range recvMsg {
@@ -223,10 +254,10 @@ func buildBroadcast(g *Graph, n int, cfg GenConfig, rootDeps []int) {
 			var off int64
 			switch {
 			case src == 0:
-				deps = append([]int(nil), rootDeps...)
+				deps = buf.deps(rootDeps...)
 				off = cfg.ComputeClks
 			default:
-				deps = []int{recvMsg[src]}
+				deps = buf.deps(recvMsg[src])
 			}
 			idx := len(g.Messages)
 			g.Messages = append(g.Messages, Message{
@@ -247,9 +278,10 @@ func buildBroadcast(g *Graph, n int, cfg GenConfig, rootDeps []int) {
 // on the previous step's receive plus the reduction compute) then N−1
 // all-gather steps (pure forwards). 2N(N−1) messages.
 func genRingAllReduce(n int, cfg GenConfig) (*Graph, error) {
-	g := &Graph{Name: "ring-allreduce", NumNodes: n}
+	steps := 2 * (n - 1)
+	g, buf := newGraph("ring-allreduce", n, steps*n, (steps-1)*n)
 	size := chunk(cfg.SizeFlits, n)
-	ringSteps(g, n, 2*(n-1), size, func(step int) int64 {
+	ringSteps(g, buf, n, steps, size, func(step int) int64 {
 		if step < n-1 {
 			return cfg.ComputeClks // reduce-scatter: add before forwarding
 		}
@@ -263,8 +295,8 @@ func genRingAllReduce(n int, cfg GenConfig) (*Graph, error) {
 // first step carries ComputeClks (projecting the shard); forwards are
 // free. N(N−1) messages.
 func genAllGather(n int, cfg GenConfig) (*Graph, error) {
-	g := &Graph{Name: "allgather", NumNodes: n}
-	ringSteps(g, n, n-1, cfg.SizeFlits, func(step int) int64 {
+	g, buf := newGraph("allgather", n, (n-1)*n, (n-2)*n)
+	ringSteps(g, buf, n, n-1, cfg.SizeFlits, func(step int) int64 {
 		if step == 0 {
 			return cfg.ComputeClks
 		}
@@ -277,7 +309,7 @@ func genAllGather(n int, cfg GenConfig) (*Graph, error) {
 // to (node+1) mod N, depending on the message it received the step before.
 // compute(step) is the release offset of that step's sends (absolute for
 // step 0, which has no dependencies).
-func ringSteps(g *Graph, n, steps, sizeFlits int, compute func(step int) int64) {
+func ringSteps(g *Graph, buf *depBuf, n, steps, sizeFlits int, compute func(step int) int64) {
 	prev := make([]int, n) // message node i received in the previous step
 	cur := make([]int, n)
 	for step := 0; step < steps; step++ {
@@ -285,7 +317,7 @@ func ringSteps(g *Graph, n, steps, sizeFlits int, compute func(step int) int64) 
 		for i := 0; i < n; i++ {
 			var deps []int
 			if step > 0 {
-				deps = []int{prev[i]}
+				deps = buf.deps(prev[i])
 			}
 			idx := len(g.Messages)
 			g.Messages = append(g.Messages, Message{
@@ -305,9 +337,12 @@ func ringSteps(g *Graph, n, steps, sizeFlits int, compute func(step int) int64) 
 // broadcast: the root's first broadcast sends depend on every reduce
 // message it received. 2(N−1) messages, 2⌈log₂N⌉ sequential rounds.
 func genTreeAllReduce(n int, cfg GenConfig) (*Graph, error) {
-	g := &Graph{Name: "tree-allreduce", NumNodes: n}
-	rootRecv := buildReduce(g, n, cfg)
-	buildBroadcast(g, n, cfg, rootRecv)
+	// The broadcast root's sends each copy the root's reduce inputs, one
+	// per round.
+	rounds := bits.Len(uint(n - 1))
+	g, buf := newGraph("tree-allreduce", n, 2*(n-1), 2*(n-1)+rounds*rounds)
+	rootRecv := buildReduce(g, buf, n, cfg)
+	buildBroadcast(g, buf, n, cfg, rootRecv)
 	return g, nil
 }
 
@@ -317,7 +352,7 @@ func genTreeAllReduce(n int, cfg GenConfig) (*Graph, error) {
 // through the expert compute. 2N(N−1) messages, all pairs concurrent —
 // the densest communication phase in the registry.
 func genMoEAllToAll(n int, cfg GenConfig) (*Graph, error) {
-	g := &Graph{Name: "moe-alltoall", NumNodes: n}
+	g, buf := newGraph("moe-alltoall", n, 2*n*(n-1), n*(n-1))
 	size := chunk(cfg.SizeFlits, n-1)
 	dispatch := make([]int, n*n) // dispatch[i*n+j] = index of message i→j
 	for i := 0; i < n; i++ {
@@ -345,7 +380,7 @@ func genMoEAllToAll(n int, cfg GenConfig) (*Graph, error) {
 				Dst:         topology.NodeID(j),
 				SizeFlits:   size,
 				ComputeClks: cfg.ComputeClks,
-				Deps:        []int{dispatch[j*n+i]},
+				Deps:        buf.deps(dispatch[j*n+i]),
 			})
 		}
 	}
@@ -359,7 +394,7 @@ func genMoEAllToAll(n int, cfg GenConfig) (*Graph, error) {
 // M(N−1) messages; with zero contention the makespan is exactly the
 // classic (M+N−2)-slot pipeline schedule.
 func genPipeline(n int, cfg GenConfig) (*Graph, error) {
-	g := &Graph{Name: "pipeline", NumNodes: n}
+	g, buf := newGraph("pipeline", n, cfg.Microbatches*(n-1), cfg.Microbatches*(n-2))
 	prev := make([]int, cfg.Microbatches) // prev[m] = message (stage-1 → stage) of microbatch m
 	for stage := 0; stage < n-1; stage++ {
 		for m := 0; m < cfg.Microbatches; m++ {
@@ -368,7 +403,7 @@ func genPipeline(n int, cfg GenConfig) (*Graph, error) {
 			if stage == 0 {
 				off = int64(m+1) * cfg.ComputeClks
 			} else {
-				deps = []int{prev[m]}
+				deps = buf.deps(prev[m])
 			}
 			prev[m] = len(g.Messages)
 			g.Messages = append(g.Messages, Message{

@@ -157,3 +157,34 @@ func mustGen(t *testing.T, name string, n int, cfg GenConfig) *Graph {
 	}
 	return g
 }
+
+// TestGeneratorAllocs: every generator pre-sizes its message list and cuts
+// its Deps from one shared array, so building a 144-node graph (the 12×12
+// mesh of the closed-loop sweeps) costs a handful of allocations, not one
+// per message, and no message's Deps shares capacity with a neighbour's.
+func TestGeneratorAllocs(t *testing.T) {
+	const n, maxAllocs = 144, 8
+	cfg := DefaultGenConfig()
+	for _, gen := range Generators() {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := gen.Generate(n, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > maxAllocs {
+			t.Errorf("%s(n=%d): %v allocs, want ≤ %d", gen.Name(), n, allocs, maxAllocs)
+		}
+		// The shared array must not leak between messages: growing one
+		// message's Deps leaves every other message's intact.
+		g, err := gen.Generate(n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range g.Messages {
+			_ = append(m.Deps, -1)
+		}
+		if err := g.Validate(); err != nil {
+			t.Errorf("%s(n=%d): appending to one Deps clobbered another: %v", gen.Name(), n, err)
+		}
+	}
+}
