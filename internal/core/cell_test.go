@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -42,7 +43,6 @@ func TestEvalCellsValidation(t *testing.T) {
 		{EvalCell{Width: 4, Height: 4, Point: plain, Pattern: uniform}, "positive rate"},
 		{EvalCell{Width: 4, Height: 4, Point: plain, Pattern: uniform, Trace: &lu, Rate: 0.1}, "both"},
 		{EvalCell{Kind: topology.Torus, Width: 2, Height: 2, Point: plain, Pattern: uniform, Rate: 0.1}, "torus"},
-		{EvalCell{Width: 4, Height: 2, Point: plain, Pattern: mustPattern(t, "transpose"), Rate: 0.05}, "square"},
 	}
 	for i, tc := range cases {
 		_, err := Eval(tc.cell, cellSweepConfig(), DefaultOptions())
@@ -55,5 +55,33 @@ func TestEvalCellsValidation(t *testing.T) {
 	bad.Workload.Cycles = 0
 	if _, err := Eval(EvalCell{Width: 4, Height: 4, Point: plain, Pattern: uniform, Rate: 0.1}, bad, DefaultOptions()); err == nil {
 		t.Error("a zero-cycle workload should fail")
+	}
+}
+
+// TestEvalCellsErrorIsolation: a cell that fails (transpose needs a
+// square grid) leaves the shared network cache as it found it, so a
+// healthy cell evaluated next under the same Options answers exactly as
+// it does alone.
+func TestEvalCellsErrorIsolation(t *testing.T) {
+	plain := DesignPoint{Base: tech.Electronic, Express: tech.Electronic}
+	bad := EvalCell{Width: 4, Height: 2, Point: plain, Pattern: mustPattern(t, "transpose"), Rate: 0.05}
+	good := EvalCell{Width: 4, Height: 4, Point: plain, Pattern: mustPattern(t, "uniform"), Rate: 0.05}
+	solo, err := Eval(good, cellSweepConfig(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := DefaultOptions()
+	if _, err := Eval(bad, cellSweepConfig(), o); err == nil || !strings.Contains(err.Error(), "square") {
+		t.Errorf("want square-grid error, got %v", err)
+	}
+	after, err := Eval(good, cellSweepConfig(), o)
+	if err != nil {
+		t.Fatalf("healthy cell failed after a failing one: %v", err)
+	}
+	if after.Packets == 0 || after.AvgLatencyClks <= 0 {
+		t.Errorf("healthy cell produced no traffic: %+v", after)
+	}
+	if !reflect.DeepEqual(after, solo) {
+		t.Errorf("healthy cell after a failure %+v != alone %+v", after, solo)
 	}
 }
