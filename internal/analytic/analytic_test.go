@@ -276,3 +276,34 @@ func TestEvaluateErrors(t *testing.T) {
 		t.Error("invalid traffic matrix must fail")
 	}
 }
+
+// TestEvaluateSharedMatchesEvaluate: one shared walk over the technology
+// variants of a geometry returns, for each network, exactly what Evaluate
+// returns for it alone; networks wired differently are rejected.
+func TestEvaluateSharedMatchesEvaluate(t *testing.T) {
+	techs := []tech.Technology{tech.Electronic, tech.Photonic, tech.HyPPI}
+	var nets []*topology.Network
+	for _, base := range techs {
+		for _, express := range techs {
+			nets = append(nets, network(t, 5, base, express))
+		}
+	}
+	tab := routing.MustBuild(nets[0], routing.MonotoneExpress)
+	tm := traffic.MustSoteriou(nets[0], traffic.DefaultSoteriou())
+	got, err := EvaluateShared(nets, tab, tm, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, net := range nets {
+		if want := evaluate(t, net); got[i] != want {
+			t.Errorf("%v:\nshared %+v\nalone  %+v", net, got[i], want)
+		}
+	}
+	mixed := []*topology.Network{nets[0], network(t, 3, tech.Electronic, tech.Electronic)}
+	if _, err := EvaluateShared(mixed, tab, tm, DefaultParams()); err == nil {
+		t.Error("networks of different hop lengths evaluated on one walk")
+	}
+	if _, err := EvaluateShared(nil, tab, tm, DefaultParams()); err == nil {
+		t.Error("empty batch evaluated")
+	}
+}

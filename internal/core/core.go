@@ -24,6 +24,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/analytic"
 	"repro/internal/dsent"
@@ -132,43 +135,116 @@ type ExplorationResult struct {
 // plus Table III (C, R) and Table IV (static power) values.
 //
 // Explore is a thin wrapper over ExploreContext with a default-sized worker
-// pool; because each design point is an independent, deterministic job and
-// results are collected in point order, its output is bit-identical to the
-// historical serial loop.
+// pool; results are collected in point order and are bit-identical to
+// evaluating each point alone with analytic.Evaluate.
 func Explore(points []DesignPoint, o Options) ([]ExplorationResult, error) {
 	return ExploreContext(context.Background(), points, o, runner.Config{})
 }
 
 // ExploreContext is Explore on an explicit context and worker-pool
-// configuration: design points are evaluated concurrently, the first
-// failure cancels the remaining points, and cfg.Progress observes
-// completions. Results are returned in point order whatever the pool size.
+// configuration. The batch walks each route structure once: design points
+// whose fabrics share the traffic matrix, the wiring and the next hops
+// (the technology variants of one hop length, say) form one group, and
+// one analytic.EvaluateShared walk accumulates the group's loads, with one
+// latency sum per distinct link-latency vector. Every sum keeps the order
+// of a walk over one point, so each result is bit-identical to
+// analytic.Evaluate on that point alone. Groups run concurrently, the
+// first failure cancels the rest, and cfg.Progress observes each point's
+// completion. Results are returned in point order whatever the pool size.
 func ExploreContext(ctx context.Context, points []DesignPoint, o Options, cfg runner.Config) ([]ExplorationResult, error) {
-	return runner.Map(ctx, len(points), cfg, func(_ context.Context, i int) (ExplorationResult, error) {
-		_, _, res, err := o.evaluate(points[i])
-		if err != nil {
-			return ExplorationResult{}, fmt.Errorf("core: %v: %w", points[i], err)
-		}
-		return ExplorationResult{Point: points[i], Result: res}, nil
-	})
+	res, err := exploreBatch(ctx, len(points),
+		func(i int) (Options, DesignPoint) { return o, points[i] },
+		func(i int) string { return points[i].String() }, cfg)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ExplorationResult, len(points))
+	for i, r := range res {
+		out[i] = ExplorationResult{Point: points[i], Result: r.res}
+	}
+	return out, nil
 }
 
-// evaluate is the Section III-B analytic job body shared by Explore,
-// ExploreKinds and AllOpticalRadar: resolve the design point's fabric and
-// the (cached) Soteriou traffic on it, then evaluate the pair.
-func (o Options) evaluate(p DesignPoint) (fabric, *traffic.Matrix, analytic.Result, error) {
-	f, err := o.resolve(p, false)
-	if err != nil {
-		return fabric{}, nil, analytic.Result{}, err
+// explored is one design point of an analytic batch: its resolved fabric,
+// its (cached) traffic matrix and, once its group is walked, its result.
+type explored struct {
+	fabric
+	tm  *traffic.Matrix
+	res analytic.Result
+}
+
+// exploreBatch evaluates n design points, job i being a point on its
+// options, walking each group of identically routed points once. name(i)
+// names job i in errors.
+func exploreBatch(ctx context.Context, n int, job func(i int) (Options, DesignPoint),
+	name func(i int) string, cfg runner.Config) ([]explored, error) {
+	// Resolution goes through the cache: after the first sweep of a
+	// geometry it is a lookup per point.
+	pts := make([]explored, n)
+	for i := range pts {
+		oi, p := job(i)
+		f, err := oi.resolve(p, false)
+		if err == nil {
+			pts[i].tm, err = oi.cache().Soteriou(f.net, oi.Traffic)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: %s: %w", name(i), err)
+		}
+		pts[i].fabric = f
 	}
-	tm, err := o.cache().Soteriou(f.net, o.Traffic)
-	if err != nil {
-		return fabric{}, nil, analytic.Result{}, err
-	}
-	res, err := analytic.Evaluate(f.net, f.tab, tm, analytic.Params{
-		DSENT: o.DSENT, RouterPipelineClks: o.RouterPipelineClks,
+	groups := routeGroups(pts)
+	var mu sync.Mutex
+	done := 0
+	_, err := runner.Map(ctx, len(groups), runner.Config{Workers: cfg.Workers}, func(_ context.Context, g int) (struct{}, error) {
+		members := groups[g]
+		lead := pts[members[0]]
+		nets := make([]*topology.Network, len(members))
+		for k, i := range members {
+			nets[k] = pts[i].net
+		}
+		oi, _ := job(members[0])
+		res, err := analytic.EvaluateShared(nets, lead.tab, lead.tm, analytic.Params{
+			DSENT: oi.DSENT, RouterPipelineClks: oi.RouterPipelineClks,
+		})
+		if err != nil {
+			return struct{}{}, fmt.Errorf("core: %s: %w", name(members[0]), err)
+		}
+		for k, i := range members {
+			pts[i].res = res[k]
+		}
+		if cfg.Progress != nil {
+			mu.Lock()
+			defer mu.Unlock()
+			for range members {
+				done++
+				cfg.Progress(done, n)
+			}
+		}
+		return struct{}{}, nil
 	})
-	return f, tm, res, err
+	if err != nil {
+		return nil, err
+	}
+	return pts, nil
+}
+
+// routeGroups partitions a batch's points into groups that one route
+// walk serves: the same traffic matrix, the same wiring and the same next
+// hops. Groups and their members keep batch order.
+func routeGroups(pts []explored) [][]int {
+	var groups [][]int
+	for i, p := range pts {
+		g := slices.IndexFunc(groups, func(members []int) bool {
+			lead := pts[members[0]]
+			return lead.tm == p.tm && lead.net.SameWiring(p.net) && lead.tab.SameRoutes(p.tab)
+		})
+		if g < 0 {
+			groups = append(groups, []int{i})
+		} else {
+			groups[g] = append(groups[g], i)
+		}
+	}
+	return groups
 }
 
 // WithKind returns a copy of the Options targeting the given topology
@@ -191,27 +267,35 @@ type KindExploration struct {
 }
 
 // ExploreKinds runs the analytic evaluation across the kind × design-point
-// matrix on the worker pool — the cross-topology generalization of
-// Explore. Each job resolves its network through the shared cache and is a
-// pure function of its index, so results (kind-major, point-minor order)
-// are bit-identical for any worker count. Non-mesh kinds reject express
-// design points at Build time; pass plain (Hops = 0) points for
-// kind-portable sweeps.
+// matrix — the cross-topology generalization of Explore, sharing its
+// batch: the points of one kind whose fabrics route identically are
+// walked once, and every result is bit-identical to analytic.Evaluate on
+// its point alone. Results come back kind-major, point-minor, the same for
+// any worker count. Non-mesh kinds reject express design points at Build
+// time; pass plain (Hops = 0) points for kind-portable sweeps.
 func ExploreKinds(ctx context.Context, kinds []topology.Kind, points []DesignPoint, o Options, cfg runner.Config) ([]KindExploration, error) {
 	if len(kinds) == 0 || len(points) == 0 {
 		return nil, fmt.Errorf("core: kind exploration needs kinds and points")
 	}
-	return runner.Map(ctx, len(kinds)*len(points), cfg, func(_ context.Context, i int) (KindExploration, error) {
-		kind, p := kinds[i/len(points)], points[i%len(points)]
-		f, _, res, err := o.WithKind(kind).evaluate(p)
-		if err != nil {
-			return KindExploration{}, fmt.Errorf("core: %v %v: %w", kind, p, err)
+	kindOpts := make([]Options, len(kinds))
+	for k, kind := range kinds {
+		kindOpts[k] = o.WithKind(kind)
+	}
+	np := len(points)
+	res, err := exploreBatch(ctx, len(kinds)*np,
+		func(i int) (Options, DesignPoint) { return kindOpts[i/np], points[i%np] },
+		func(i int) string { return fmt.Sprintf("%v %v", kinds[i/np], points[i%np]) }, cfg)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]KindExploration, len(res))
+	for i, r := range res {
+		out[i] = KindExploration{
+			Kind: kinds[i/np], Point: r.point, Result: r.res,
+			NumNodes: r.net.NumNodes(), Channels: len(r.net.Links), MaxPorts: r.net.MaxPorts(),
 		}
-		return KindExploration{
-			Kind: kind, Point: p, Result: res,
-			NumNodes: f.net.NumNodes(), Channels: len(f.net.Links), MaxPorts: f.net.MaxPorts(),
-		}, nil
-	})
+	}
+	return out, nil
 }
 
 // LinkSweep regenerates the Fig. 3 dataset on the default length grid.
@@ -238,7 +322,16 @@ type TraceResult struct {
 // with the cycle-accurate simulator, then prices the run with the
 // modified-DSENT models.
 func RunTraceExperiment(kernel npb.Config, point DesignPoint, o Options, nocCfg noc.Config) (TraceResult, error) {
-	return o.traceJob(TraceJob{Kernel: kernel, Point: point}, nocCfg, nil)
+	job := TraceJob{Kernel: kernel, Point: point}
+	f, err := o.resolve(point, false)
+	if err != nil {
+		return TraceResult{}, err
+	}
+	packets, err := job.packets(f.net.NumNodes())
+	if err != nil {
+		return TraceResult{}, err
+	}
+	return o.traceJob(job, f, packets, nocCfg, nil)
 }
 
 // TraceJob names one trace experiment of a batch: an NPB kernel
@@ -266,20 +359,55 @@ func (j TraceJob) packets(n int) ([]noc.Packet, error) {
 	return trace.Packetize(events, n, trace.DefaultPacketize())
 }
 
-// traceJob is the one trace job body: packetize the job's trace for its
-// design point's (cached) network, simulate it on a Sim drawn from sims
-// (nil builds a fresh one) and price the run with the modified-DSENT
-// models. A kernel's trace is generated inside the job, so a batch
-// generates its traces in parallel.
-func (o Options) traceJob(job TraceJob, nocCfg noc.Config, sims *noc.SimPool) (TraceResult, error) {
-	f, err := o.resolve(job.Point, false)
-	if err != nil {
-		return TraceResult{}, err
+// traceKey identifies the packets a job replays: its kernel
+// configuration, or the identity of its Events slice, packetized for a
+// node count.
+type traceKey struct {
+	kernel npb.Config
+	events *trace.Event
+	count  int
+	replay bool
+	nodes  int
+}
+
+func (j TraceJob) key(nodes int) traceKey {
+	if j.Events == nil {
+		return traceKey{kernel: j.Kernel, nodes: nodes}
 	}
-	packets, err := job.packets(f.net.NumNodes())
-	if err != nil {
-		return TraceResult{}, err
+	k := traceKey{count: len(j.Events), replay: true, nodes: nodes}
+	if len(j.Events) > 0 {
+		k.events = &j.Events[0]
 	}
+	return k
+}
+
+// sharedTrace is one distinct trace of a batch: the first job to need it
+// generates and packetizes it, the others read the same packets, and the
+// last job to finish with it drops them.
+type sharedTrace struct {
+	once    sync.Once
+	packets []noc.Packet
+	err     error
+	users   atomic.Int32
+}
+
+// get returns the trace's packets, preparing them on first use.
+func (t *sharedTrace) get(job TraceJob, nodes int) ([]noc.Packet, error) {
+	t.once.Do(func() { t.packets, t.err = job.packets(nodes) })
+	return t.packets, t.err
+}
+
+// release drops the packets once every job using them is done.
+func (t *sharedTrace) release() {
+	if t.users.Add(-1) == 0 {
+		t.packets = nil
+	}
+}
+
+// traceJob is the one trace job body: simulate the job's packets on its
+// design point's fabric, on a Sim drawn from sims (nil builds a fresh
+// one), and price the run with the modified-DSENT models.
+func (o Options) traceJob(job TraceJob, f fabric, packets []noc.Packet, nocCfg noc.Config, sims *noc.SimPool) (TraceResult, error) {
 	stats, err := simulate(sims, f.net, f.tab, nocCfg, workload{pkts: packets})
 	if err != nil {
 		return TraceResult{}, err
@@ -299,17 +427,49 @@ func (o Options) traceJob(job TraceJob, nocCfg noc.Config, sims *noc.SimPool) (T
 }
 
 // RunTraceExperiments executes a batch of independent trace simulations on
-// a bounded worker pool, returning results in job order. Each job is a full
+// a bounded worker pool, returning results in job order. Each job is a
 // RunTraceExperiment — trace generation (unless the job carries Events),
-// packetization, cycle-accurate simulation and DSENT pricing — so per-job
-// results are bit-identical to running the jobs serially. Simulators are
-// recycled across the batch through one noc.SimPool (jobs sharing a design
-// point share simulators), bounding simulator construction at one per live
-// worker per point. The first failure cancels the remaining jobs.
+// packetization, cycle-accurate simulation and DSENT pricing — but the
+// batch prepares each distinct trace once: jobs with the same kernel
+// configuration, or the same Events slice, on networks of one node count
+// replay one read-only packet list, generated by the first job that needs
+// it and dropped after the last. Generation and packetization are pure
+// functions of the trace and the node count, and the simulator only reads
+// its packets, so per-job results are bit-identical to running the jobs
+// one by one. Simulators are recycled across the batch through one
+// noc.SimPool (jobs sharing a design point share simulators), bounding
+// simulator construction at one per live worker per point. The first
+// failure cancels the remaining jobs.
 func RunTraceExperiments(ctx context.Context, jobs []TraceJob, o Options, nocCfg noc.Config, cfg runner.Config) ([]TraceResult, error) {
+	fabs := make([]fabric, len(jobs))
+	errs := make([]error, len(jobs))
+	traces := make([]*sharedTrace, len(jobs))
+	byKey := map[traceKey]*sharedTrace{}
+	for i, job := range jobs {
+		if fabs[i], errs[i] = o.resolve(job.Point, false); errs[i] != nil {
+			continue
+		}
+		k := job.key(fabs[i].net.NumNodes())
+		if byKey[k] == nil {
+			byKey[k] = &sharedTrace{}
+		}
+		traces[i] = byKey[k]
+		traces[i].users.Add(1)
+	}
 	sims := noc.NewSimPool()
+	run := func(i int) (TraceResult, error) {
+		if errs[i] != nil {
+			return TraceResult{}, errs[i]
+		}
+		defer traces[i].release()
+		packets, err := traces[i].get(jobs[i], fabs[i].net.NumNodes())
+		if err != nil {
+			return TraceResult{}, err
+		}
+		return o.traceJob(jobs[i], fabs[i], packets, nocCfg, sims)
+	}
 	return runner.Map(ctx, len(jobs), cfg, func(_ context.Context, i int) (TraceResult, error) {
-		res, err := o.traceJob(jobs[i], nocCfg, sims)
+		res, err := run(i)
 		if err != nil {
 			name := jobs[i].Kernel.Kernel.String()
 			if jobs[i].Events != nil {
@@ -362,11 +522,21 @@ func PriceRun(net *topology.Network, stats noc.Stats, cfg dsent.Config) (dynamic
 func AllOpticalRadar(o Options) (optical.Radar, error) {
 	var radar optical.Radar
 	plain := DesignPoint{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}
-	f, tm, res, err := o.evaluate(plain)
+	f, err := o.resolve(plain, false)
 	if err != nil {
 		return radar, err
 	}
 	net, tab := f.net, f.tab
+	tm, err := o.cache().Soteriou(net, o.Traffic)
+	if err != nil {
+		return radar, err
+	}
+	res, err := analytic.Evaluate(net, tab, tm, analytic.Params{
+		DSENT: o.DSENT, RouterPipelineClks: o.RouterPipelineClks,
+	})
+	if err != nil {
+		return radar, err
+	}
 	delivered := tm.MeanRowSum() * float64(net.NumNodes()) *
 		float64(o.DSENT.FlitBits) * o.DSENT.ClockHz
 	radar.Electronic = optical.ElectronicReference(res.PowerW, res.AvgLatencyClks, res.AreaM2, delivered)
@@ -374,14 +544,14 @@ func AllOpticalRadar(o Options) (optical.Radar, error) {
 	p := optical.DefaultParams()
 	p.LinkCapacityBps = o.DSENT.LinkCapacityBps
 	p.RouterPipelineClks = o.RouterPipelineClks
-	radar.HyPPI, err = optical.ProjectAllOptical(net, tab, tm, optical.HyPPIRouter(), p, res.AvgLatencyClks)
+	// Both router models price the same routes: one walk tallies the turn
+	// weights that choose their port assignments.
+	proj, err := optical.ProjectRouters(net, tab, tm,
+		[]optical.RouterModel{optical.HyPPIRouter(), optical.PhotonicRouter()}, p, res.AvgLatencyClks)
 	if err != nil {
 		return radar, err
 	}
-	radar.Photonic, err = optical.ProjectAllOptical(net, tab, tm, optical.PhotonicRouter(), p, res.AvgLatencyClks)
-	if err != nil {
-		return radar, err
-	}
+	radar.HyPPI, radar.Photonic = proj[0], proj[1]
 	return radar, nil
 }
 

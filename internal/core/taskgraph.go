@@ -87,37 +87,40 @@ func TaskGraphSweep(ctx context.Context, points []DesignPoint, gens []taskgraph.
 	if err != nil {
 		return nil, err
 	}
-	graphs, err := generateGraphs(gens, o.Topology.Width*o.Topology.Height, sc.Gen)
+	graphs, orders, err := generateGraphs(gens, o.Topology.Width*o.Topology.Height, sc.Gen)
 	if err != nil {
 		return nil, err
 	}
 	name := func(j int) string { return graphs[j].Name }
 	return sweepCells(ctx, fabs, len(graphs), name, pool,
 		func(_ context.Context, _ int, f fabric, j int, sims *noc.SimPool) (TaskGraphResult, error) {
-			return runTaskGraph(graphs[j], f, sc.NoC, sims)
+			return runTaskGraph(graphs[j], orders[j], f, sc.NoC, sims)
 		})
 }
 
 // generateGraphs builds and validates one graph per generator for a node
-// count.
-func generateGraphs(gens []taskgraph.Generator, numNodes int, cfg taskgraph.GenConfig) ([]*taskgraph.Graph, error) {
+// count, returning each graph's topological order with it: every point of
+// a sweep folds its critical-path bound over the same order.
+func generateGraphs(gens []taskgraph.Generator, numNodes int, cfg taskgraph.GenConfig) ([]*taskgraph.Graph, [][]int, error) {
 	graphs := make([]*taskgraph.Graph, len(gens))
+	orders := make([][]int, len(gens))
 	for i, gen := range gens {
 		g, err := gen.Generate(numNodes, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("core: graph %s: %w", gen.Name(), err)
+			return nil, nil, fmt.Errorf("core: graph %s: %w", gen.Name(), err)
 		}
-		if err := g.Validate(); err != nil {
-			return nil, fmt.Errorf("core: graph %s: %w", gen.Name(), err)
+		if orders[i], err = g.ValidOrder(); err != nil {
+			return nil, nil, fmt.Errorf("core: graph %s: %w", gen.Name(), err)
 		}
 		graphs[i] = g
 	}
-	return graphs, nil
+	return graphs, orders, nil
 }
 
 // runTaskGraph replays one DAG through a pooled closed-loop simulation and
-// scores it against the contention-free critical path.
-func runTaskGraph(g *taskgraph.Graph, f fabric, cfg noc.Config, sims *noc.SimPool) (TaskGraphResult, error) {
+// scores it against the contention-free critical path, folded over the
+// graph's topological order.
+func runTaskGraph(g *taskgraph.Graph, order []int, f fabric, cfg noc.Config, sims *noc.SimPool) (TaskGraphResult, error) {
 	pkts := make([]noc.Packet, len(g.Messages))
 	deps := make([][]int, len(g.Messages))
 	for i, m := range g.Messages {
@@ -131,12 +134,9 @@ func runTaskGraph(g *taskgraph.Graph, f fabric, cfg noc.Config, sims *noc.SimPoo
 	// The bound folds the simulator's exact zero-load message latency
 	// (pinned by TestZeroLoadLatencyMatchesAnalytic) over the DAG: an
 	// uncongested serial schedule meets it exactly.
-	lb, err := g.CriticalPathClks(func(m taskgraph.Message) int64 {
+	lb := g.CriticalPathInOrder(order, func(m taskgraph.Message) int64 {
 		return int64(f.tab.LatencyClks(m.Src, m.Dst, cfg.PipelineClks) + m.SizeFlits - 1)
 	})
-	if err != nil {
-		return TaskGraphResult{}, err
-	}
 	res := TaskGraphResult{
 		Kind:           f.kind,
 		Point:          f.point,

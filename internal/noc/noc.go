@@ -462,9 +462,6 @@ type srcRel struct {
 // pktMeta is per-packet runtime accounting.
 type pktMeta struct {
 	Packet
-	flitsEjected int32
-	hops         int32
-	done         bool
 	// dropped marks a packet that exhausted its retransmission budget;
 	// its flits still flow to the destination (keeping flow control and
 	// VC ownership intact) but are discarded there.
@@ -525,7 +522,10 @@ type Sim struct {
 	stats     Stats
 	latSum    float64
 	latencies stats.Sample
-	credits   []creditEvent
+	// headHops counts head-flit channel traversals: the run's total hop
+	// count over all packets.
+	headHops int64
+	credits  []creditEvent
 
 	// Activity tracking lets idle stretches be skipped and idle routers
 	// bypassed: buffered counts flits in input buffers per router,
@@ -800,6 +800,7 @@ func (s *Sim) Reset() {
 	}
 	s.stats.Activity.SourceFlits = make([]int64, s.net.NumNodes())
 	s.latSum = 0
+	s.headHops = 0
 	s.latencies.Reset()
 	s.credits = s.credits[:0]
 	clear(s.buffered)
@@ -971,12 +972,8 @@ func (s *Sim) Run() (Stats, error) {
 		s.stats.P95PacketLatencyClks = s.latencies.Quantile(0.95)
 		s.stats.P99PacketLatencyClks = s.latencies.Quantile(0.99)
 	}
-	var hops int64
-	for _, p := range s.pkts {
-		hops += int64(p.hops)
-	}
 	if len(s.pkts) > 0 {
-		s.stats.AvgHopCount = float64(hops) / float64(len(s.pkts))
+		s.stats.AvgHopCount = float64(s.headHops) / float64(len(s.pkts))
 	}
 	return s.stats, nil
 }
@@ -1379,9 +1376,7 @@ func (s *Sim) sendFlit(rid, port, v, op int, ejected *int64) {
 		// Ejection: retire the flit at now+1 (switch traversal).
 		p := &s.pkts[e.f.pkt]
 		s.stats.FlitsEjected++
-		p.flitsEjected++
 		if e.f.tail {
-			p.done = true
 			if t := s.now + 1; t > s.stats.MakespanClks {
 				s.stats.MakespanClks = t
 			}
@@ -1422,7 +1417,7 @@ func (s *Sim) sendFlit(rid, port, v, op int, ejected *int64) {
 		}
 		s.inflight++
 		if e.f.head {
-			s.pkts[e.f.pkt].hops++
+			s.headHops++
 		}
 	}
 

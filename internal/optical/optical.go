@@ -238,29 +238,64 @@ type Projection struct {
 
 // ProjectAllOptical evaluates an all-optical mesh NoC built from the given
 // router model, routed X-Y over the plain mesh, under the given traffic.
+// It is the one-model case of ProjectRouters.
 func ProjectAllOptical(net *topology.Network, tab *routing.Table, tm *traffic.Matrix,
 	rm RouterModel, p Params, elecLatencyClks float64) (Projection, error) {
-	if err := rm.Validate(); err != nil {
+	ps, err := ProjectRouters(net, tab, tm, []RouterModel{rm}, p, elecLatencyClks)
+	if err != nil {
 		return Projection{}, err
+	}
+	return ps[0], nil
+}
+
+// ProjectRouters is ProjectAllOptical for several router models on one
+// network. The turn weights that choose each model's port assignment
+// depend only on the routes and the traffic, so one walk tallies them for
+// every model; each projection is identical to ProjectAllOptical on its
+// model alone.
+func ProjectRouters(net *topology.Network, tab *routing.Table, tm *traffic.Matrix,
+	rms []RouterModel, p Params, elecLatencyClks float64) ([]Projection, error) {
+	for _, rm := range rms {
+		if err := rm.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if p.LinkCapacityBps <= 0 || p.LatencyFactor <= 0 {
-		return Projection{}, fmt.Errorf("optical: invalid params %+v", p)
+		return nil, fmt.Errorf("optical: invalid params %+v", p)
 	}
-	dev, err := tech.Optical(rm.Tech)
-	if err != nil {
-		return Projection{}, err
+	for _, rm := range rms {
+		if _, err := tech.Optical(rm.Tech); err != nil {
+			return nil, err
+		}
 	}
-
 	if tm.N != net.NumNodes() {
-		return Projection{}, fmt.Errorf("optical: traffic size %d vs %d nodes", tm.N, net.NumNodes())
+		return nil, fmt.Errorf("optical: traffic size %d vs %d nodes", tm.N, net.NumNodes())
 	}
-	wk := newWalker(net, tab, dev)
 
-	// First pass: turn frequencies for the port assignment.
-	w, err := wk.turnWeights(tm)
-	if err != nil {
-		return Projection{}, err
+	out := make([]Projection, len(rms))
+	row := make([]float64, net.NumNodes()) // reusable per-source rate row (matrices stream rows on demand)
+	var w TurnWeights
+	for i, rm := range rms {
+		dev, _ := tech.Optical(rm.Tech)
+		wk := newWalker(net, tab, dev)
+		var err error
+		if i == 0 {
+			// First pass: turn frequencies for the port assignments.
+			if w, err = wk.turnWeights(tm); err != nil {
+				return nil, err
+			}
+		}
+		if out[i], err = project(net, wk, tm, row, w, rm, dev, p, elecLatencyClks); err != nil {
+			return nil, err
+		}
 	}
+	return out, nil
+}
+
+// project prices one router model's projection from the turn weights;
+// row is scratch for the traffic rows.
+func project(net *topology.Network, wk *walker, tm *traffic.Matrix, row []float64, w TurnWeights,
+	rm RouterModel, dev tech.OpticalParams, p Params, elecLatencyClks float64) (Projection, error) {
 	assign, _ := rm.OptimalAssignment(w)
 	// turnLoss[i][j] is the router loss of entering on direction i and
 	// leaving on j under the assignment.
@@ -279,7 +314,6 @@ func ProjectAllOptical(net *topology.Network, tab *routing.Table, tm *traffic.Ma
 
 	var eSum, wSum, lossSum, worst float64
 	n := net.NumNodes()
-	row := make([]float64, n) // reusable per-source rate row (matrices stream rows on demand)
 	for s := 0; s < n; s++ {
 		row = tm.Row(s, row)
 		for d := 0; d < n; d++ {

@@ -318,3 +318,29 @@ func TestProjectAllocsFlatInPairs(t *testing.T) {
 	}
 	t.Logf("allocs/call: %v at 8x8, %v at 16x16", small, large)
 }
+
+// TestProjectRoutersMatchesPerModel: pricing both router models from one
+// turn-weight walk gives each model's ProjectAllOptical projection bit for
+// bit, and a bad model anywhere in the batch fails it.
+func TestProjectRoutersMatchesPerModel(t *testing.T) {
+	net, tab, tm := plainMesh(t)
+	models := []RouterModel{HyPPIRouter(), PhotonicRouter()}
+	got, err := ProjectRouters(net, tab, tm, models, DefaultParams(), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rm := range models {
+		want, err := ProjectAllOptical(net, tab, tm, rm, DefaultParams(), 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameProjection(got[i], want) {
+			t.Errorf("%v:\nbatch %+v\nalone %+v", rm.Tech, got[i], want)
+		}
+	}
+	bad := PhotonicRouter()
+	bad.ControlFJPerBit = 0
+	if _, err := ProjectRouters(net, tab, tm, []RouterModel{HyPPIRouter(), bad}, DefaultParams(), 40); err == nil {
+		t.Error("invalid second model accepted")
+	}
+}

@@ -56,6 +56,23 @@ func newMono(net *topology.Network) *mono {
 	}
 }
 
+// sameMonoInputs reports whether two networks agree on everything newMono
+// reads: the grid and, channel by channel, the endpoints and the dateline
+// flag. Two algorithmic backends built from such networks answer every
+// next hop identically, whatever the channels' technologies.
+func sameMonoInputs(a, b *topology.Network) bool {
+	if a.Width != b.Width || a.Height != b.Height || len(a.Links) != len(b.Links) {
+		return false
+	}
+	for i := range a.Links {
+		la, lb := &a.Links[i], &b.Links[i]
+		if la.Src != lb.Src || la.Dst != lb.Dst || la.Dateline != lb.Dateline {
+			return false
+		}
+	}
+	return true
+}
+
 // nextLink resolves the out-channel at `at` heading for `dst` (noLink when
 // equal): X phase first, then Y, as in the constructive builder.
 func (m *mono) nextLink(at, dst topology.NodeID) topology.LinkID {

@@ -35,6 +35,7 @@ package routing
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -480,6 +481,42 @@ func (t *Table) NextLink(at, dst topology.NodeID) topology.LinkID {
 		return t.alg.nextLink(at, dst)
 	}
 	return t.next[at][dst]
+}
+
+// SameRoutes reports whether u answers every (node, destination) pair
+// with the same next hop as t. Two tables that agree route every pair
+// over the same link IDs, so one walk over t also walks u's routes when
+// their networks share the wiring (topology.Network.SameWiring). The check
+// compares the next hops in O(n²), except between two algorithmic tables
+// built from the same grid and channels, whose next hops agree by
+// construction; tables of different node counts never match.
+func (t *Table) SameRoutes(u *Table) bool {
+	if t == u {
+		return true
+	}
+	nn := t.net.NumNodes()
+	if u.net.NumNodes() != nn || t.unreachable != u.unreachable {
+		return false
+	}
+	if t.alg != nil && u.alg != nil && sameMonoInputs(t.net, u.net) {
+		return true
+	}
+	if t.next != nil && u.next != nil {
+		for at := range t.next {
+			if !slices.Equal(t.next[at], u.next[at]) {
+				return false
+			}
+		}
+		return true
+	}
+	for at := 0; at < nn; at++ {
+		for dst := 0; dst < nn; dst++ {
+			if t.NextLink(topology.NodeID(at), topology.NodeID(dst)) != u.NextLink(topology.NodeID(at), topology.NodeID(dst)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // NextLinkErr is NextLink with the missing-route case surfaced as a named

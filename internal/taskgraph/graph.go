@@ -46,31 +46,36 @@ func (g *Graph) TotalFlits() int64 {
 // rejects cyclic graphs (a cycle would deadlock closed-loop injection:
 // every message on it waits for another forever).
 func (g *Graph) Validate() error {
+	_, err := g.ValidOrder()
+	return err
+}
+
+// ValidOrder is Validate that also returns the graph's TopoOrder, so a
+// caller that folds CriticalPathInOrder over the graph many times orders it
+// once.
+func (g *Graph) ValidOrder() ([]int, error) {
 	for i, m := range g.Messages {
 		if m.SizeFlits <= 0 {
-			return fmt.Errorf("taskgraph: message %d size %d", i, m.SizeFlits)
+			return nil, fmt.Errorf("taskgraph: message %d size %d", i, m.SizeFlits)
 		}
 		if int(m.Src) < 0 || int(m.Src) >= g.NumNodes ||
 			int(m.Dst) < 0 || int(m.Dst) >= g.NumNodes {
-			return fmt.Errorf("taskgraph: message %d endpoints %d->%d out of range [0,%d)",
+			return nil, fmt.Errorf("taskgraph: message %d endpoints %d->%d out of range [0,%d)",
 				i, m.Src, m.Dst, g.NumNodes)
 		}
 		if m.ComputeClks < 0 {
-			return fmt.Errorf("taskgraph: message %d negative compute offset %d", i, m.ComputeClks)
+			return nil, fmt.Errorf("taskgraph: message %d negative compute offset %d", i, m.ComputeClks)
 		}
 		for _, d := range m.Deps {
 			if d < 0 || d >= len(g.Messages) {
-				return fmt.Errorf("taskgraph: message %d dep %d out of range", i, d)
+				return nil, fmt.Errorf("taskgraph: message %d dep %d out of range", i, d)
 			}
 			if d == i {
-				return fmt.Errorf("taskgraph: message %d depends on itself", i)
+				return nil, fmt.Errorf("taskgraph: message %d depends on itself", i)
 			}
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	return g.TopoOrder()
 }
 
 // TopoOrder returns a topological order of the message indices (Kahn's
@@ -183,6 +188,12 @@ func (g *Graph) CriticalPathClks(latency func(Message) int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return g.CriticalPathInOrder(order, latency), nil
+}
+
+// CriticalPathInOrder is CriticalPathClks folded over an order the caller
+// already holds from TopoOrder or ValidOrder.
+func (g *Graph) CriticalPathInOrder(order []int, latency func(Message) int64) int64 {
 	finish := make([]int64, len(g.Messages))
 	var makespan int64
 	for _, i := range order {
@@ -198,5 +209,5 @@ func (g *Graph) CriticalPathClks(latency func(Message) int64) (int64, error) {
 			makespan = finish[i]
 		}
 	}
-	return makespan, nil
+	return makespan
 }

@@ -91,4 +91,11 @@ func TestCriticalPath(t *testing.T) {
 	if ms != 39 {
 		t.Errorf("CriticalPathClks = %d, want 39", ms)
 	}
+	order, err := g.ValidOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.CriticalPathInOrder(order, func(Message) int64 { return 10 }); got != ms {
+		t.Errorf("CriticalPathInOrder over ValidOrder = %d, want %d", got, ms)
+	}
 }

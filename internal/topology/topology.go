@@ -17,6 +17,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/tech"
@@ -263,6 +264,34 @@ func (n *Network) MaxPorts() int {
 		}
 	}
 	return m
+}
+
+// SameWiring reports whether m is wired like n: the same node grid and
+// concentration, the same channels link by link (endpoints, express and
+// dateline flags) and the same adjacency. Technologies, lengths and
+// latencies may differ, so every technology variant of one geometry
+// shares its wiring, and a routing table's link IDs name the same
+// channels in both.
+func (n *Network) SameWiring(m *Network) bool {
+	if n == m {
+		return true
+	}
+	if n.Width != m.Width || n.Height != m.Height || n.Concentration != m.Concentration ||
+		len(n.Links) != len(m.Links) {
+		return false
+	}
+	for i := range n.Links {
+		a, b := &n.Links[i], &m.Links[i]
+		if a.Src != b.Src || a.Dst != b.Dst || a.Express != b.Express || a.Dateline != b.Dateline {
+			return false
+		}
+	}
+	for id := range n.out {
+		if !slices.Equal(n.out[id], m.out[id]) {
+			return false
+		}
+	}
+	return true
 }
 
 // HasDateline reports whether the network contains row-closure (wrap)

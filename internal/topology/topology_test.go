@@ -246,3 +246,29 @@ func TestTorusLikeH15(t *testing.T) {
 		}
 	}
 }
+
+// TestSameWiring: technology variants of one geometry share the wiring;
+// another hop length, another grid or a masked view does not.
+func TestSameWiring(t *testing.T) {
+	a := build(t, 3, tech.HyPPI)
+	if !a.SameWiring(build(t, 3, tech.Photonic)) {
+		t.Error("technology variants of hops=3 differ in wiring")
+	}
+	if a.SameWiring(build(t, 5, tech.HyPPI)) {
+		t.Error("hops 3 and 5 share the wiring")
+	}
+	c := DefaultConfig()
+	c.Width, c.Height = 8, 32
+	if a.SameWiring(MustBuild(c)) {
+		t.Error("16×16 and 8×32 share the wiring")
+	}
+	down := make([]bool, len(a.Links))
+	down[0] = true
+	masked, err := a.MaskLinks(down)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.SameWiring(masked) || masked.SameWiring(a) {
+		t.Error("a masked view shares the full wiring")
+	}
+}
