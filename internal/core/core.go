@@ -331,7 +331,11 @@ func RunTraceExperiment(kernel npb.Config, point DesignPoint, o Options, nocCfg 
 	if err != nil {
 		return TraceResult{}, err
 	}
-	return o.traceJob(job, f, packets, nocCfg, nil)
+	stats, err := simulate(nil, f.net, f.tab, nocCfg, workload{pkts: packets})
+	if err != nil {
+		return TraceResult{}, err
+	}
+	return o.priceTrace(job, f, stats)
 }
 
 // TraceJob names one trace experiment of a batch: an NPB kernel
@@ -404,14 +408,9 @@ func (t *sharedTrace) release() {
 	}
 }
 
-// traceJob is the one trace job body: simulate the job's packets on its
-// design point's fabric, on a Sim drawn from sims (nil builds a fresh
-// one), and price the run with the modified-DSENT models.
-func (o Options) traceJob(job TraceJob, f fabric, packets []noc.Packet, nocCfg noc.Config, sims *noc.SimPool) (TraceResult, error) {
-	stats, err := simulate(sims, f.net, f.tab, nocCfg, workload{pkts: packets})
-	if err != nil {
-		return TraceResult{}, err
-	}
+// priceTrace prices a job's simulated run with the modified-DSENT models
+// on the job's own network.
+func (o Options) priceTrace(job TraceJob, f fabric, stats noc.Stats) (TraceResult, error) {
 	dynamic, static, err := PriceRun(f.net, stats, o.DSENT)
 	if err != nil {
 		return TraceResult{}, err
@@ -426,47 +425,141 @@ func (o Options) traceJob(job TraceJob, f fabric, packets []noc.Packet, nocCfg n
 	}, nil
 }
 
+// timingRun is one simulation the jobs of a timing group share: the
+// first member to arrive runs it, the others wait for its Stats.
+type timingRun struct {
+	once    sync.Once
+	stats   noc.Stats
+	err     error
+	members int
+}
+
+// result returns the group's run, simulating it on first use, as Stats of
+// the member whose links are net's: a group of several members hands each
+// its own counter slices and the per-technology census of its own links.
+func (r *timingRun) result(net *topology.Network, sim func() (noc.Stats, error)) (noc.Stats, error) {
+	r.once.Do(func() { r.stats, r.err = sim() })
+	if r.err != nil || r.members == 1 {
+		return r.stats, r.err
+	}
+	st := r.stats
+	st.LinkFlits = slices.Clone(st.LinkFlits)
+	st.RouterFlits = slices.Clone(st.RouterFlits)
+	st.Activity.SourceFlits = slices.Clone(st.Activity.SourceFlits)
+	st.Activity.LinkFlitHops = [tech.NumTechnologies]int64{}
+	for l, c := range st.LinkFlits {
+		st.Activity.LinkFlitHops[net.Links[l].Tech] += c
+	}
+	return st, nil
+}
+
+// traceBatch is a trace batch resolved up front: each job's fabric (or
+// resolution error), its shared trace and its timing group's run.
+type traceBatch struct {
+	fabs   []fabric
+	errs   []error
+	traces []*sharedTrace
+	runs   []*timingRun
+}
+
+// planTraces resolves a batch's jobs and groups them. Jobs share a trace
+// when they replay the same packets (see TraceJob.key), and a timing run
+// when they also simulate identically: the same wiring, the same next
+// hops and the same latency on every link. Each job is compared only with
+// the first job of each group formed before it.
+func (o Options) planTraces(jobs []TraceJob) traceBatch {
+	b := traceBatch{
+		fabs:   make([]fabric, len(jobs)),
+		errs:   make([]error, len(jobs)),
+		traces: make([]*sharedTrace, len(jobs)),
+		runs:   make([]*timingRun, len(jobs)),
+	}
+	byKey := map[traceKey]*sharedTrace{}
+	var leads []int
+	for i, job := range jobs {
+		if b.fabs[i], b.errs[i] = o.resolve(job.Point, false); b.errs[i] != nil {
+			continue
+		}
+		k := job.key(b.fabs[i].net.NumNodes())
+		if byKey[k] == nil {
+			byKey[k] = &sharedTrace{}
+		}
+		b.traces[i] = byKey[k]
+		b.traces[i].users.Add(1)
+		if g := slices.IndexFunc(leads, func(l int) bool { return b.sameTiming(l, i) }); g >= 0 {
+			b.runs[i] = b.runs[leads[g]]
+		} else {
+			leads = append(leads, i)
+			b.runs[i] = &timingRun{}
+		}
+		b.runs[i].members++
+	}
+	return b
+}
+
+// sameTiming reports whether jobs i and j simulate identically: they
+// replay one trace on networks the kernel cannot tell apart. The kernel
+// reads a link's technology only for the per-class census, which
+// timingRun.result re-derives per member.
+func (b *traceBatch) sameTiming(i, j int) bool {
+	fi, fj := b.fabs[i], b.fabs[j]
+	if b.traces[i] != b.traces[j] || !fi.net.SameWiring(fj.net) || !fi.tab.SameRoutes(fj.tab) {
+		return false
+	}
+	for l := range fi.net.Links {
+		if fi.net.Links[l].LatencyClks != fj.net.Links[l].LatencyClks {
+			return false
+		}
+	}
+	return true
+}
+
 // RunTraceExperiments executes a batch of independent trace simulations on
 // a bounded worker pool, returning results in job order. Each job is a
 // RunTraceExperiment — trace generation (unless the job carries Events),
 // packetization, cycle-accurate simulation and DSENT pricing — but the
-// batch prepares each distinct trace once: jobs with the same kernel
-// configuration, or the same Events slice, on networks of one node count
-// replay one read-only packet list, generated by the first job that needs
-// it and dropped after the last. Generation and packetization are pure
-// functions of the trace and the node count, and the simulator only reads
-// its packets, so per-job results are bit-identical to running the jobs
-// one by one. Simulators are recycled across the batch through one
-// noc.SimPool (jobs sharing a design point share simulators), bounding
-// simulator construction at one per live worker per point. The first
-// failure cancels the remaining jobs.
+// batch does shared work once:
+//
+//   - Jobs with the same kernel configuration, or the same Events slice,
+//     on networks of one node count replay one read-only packet list,
+//     generated by the first job that needs it and dropped after the last.
+//     Generation and packetization are pure functions of the trace and
+//     the node count, and the simulator only reads its packets.
+//   - Jobs that also share the wiring, the next hops and every link's
+//     latency share one simulation, run by the first of them to start.
+//     Such runs are identical cycle for cycle: the kernel reads a link's
+//     technology only to file its traversals under a technology class.
+//     Table II gives every optical technology a 2-clock link, so HyPPI
+//     and photonic express at one hop length are one run priced twice;
+//     electronic express (1 clock) is a run of its own. Each job gets its
+//     own copy of the run's counters, with the per-technology census
+//     re-derived from its own links, and is priced on its own network.
+//
+// So per-job results are bit-identical to running the jobs one by one.
+// Simulators are recycled across the batch through one noc.SimPool (jobs
+// sharing a design point share simulators), bounding simulator
+// construction at one per live worker per point. The first failure
+// cancels the remaining jobs.
 func RunTraceExperiments(ctx context.Context, jobs []TraceJob, o Options, nocCfg noc.Config, cfg runner.Config) ([]TraceResult, error) {
-	fabs := make([]fabric, len(jobs))
-	errs := make([]error, len(jobs))
-	traces := make([]*sharedTrace, len(jobs))
-	byKey := map[traceKey]*sharedTrace{}
-	for i, job := range jobs {
-		if fabs[i], errs[i] = o.resolve(job.Point, false); errs[i] != nil {
-			continue
-		}
-		k := job.key(fabs[i].net.NumNodes())
-		if byKey[k] == nil {
-			byKey[k] = &sharedTrace{}
-		}
-		traces[i] = byKey[k]
-		traces[i].users.Add(1)
-	}
+	b := o.planTraces(jobs)
 	sims := noc.NewSimPool()
 	run := func(i int) (TraceResult, error) {
-		if errs[i] != nil {
-			return TraceResult{}, errs[i]
+		if b.errs[i] != nil {
+			return TraceResult{}, b.errs[i]
 		}
-		defer traces[i].release()
-		packets, err := traces[i].get(jobs[i], fabs[i].net.NumNodes())
+		defer b.traces[i].release()
+		f := b.fabs[i]
+		stats, err := b.runs[i].result(f.net, func() (noc.Stats, error) {
+			packets, err := b.traces[i].get(jobs[i], f.net.NumNodes())
+			if err != nil {
+				return noc.Stats{}, err
+			}
+			return simulate(sims, f.net, f.tab, nocCfg, workload{pkts: packets})
+		})
 		if err != nil {
 			return TraceResult{}, err
 		}
-		return o.traceJob(jobs[i], fabs[i], packets, nocCfg, sims)
+		return o.priceTrace(jobs[i], f, stats)
 	}
 	return runner.Map(ctx, len(jobs), cfg, func(_ context.Context, i int) (TraceResult, error) {
 		res, err := run(i)

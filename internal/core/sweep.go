@@ -20,7 +20,8 @@ import (
 // workload on a pooled simulator for a fabric. sweepCells walks the
 // fabric × workload matrix on the worker pool between them. Each sample
 // kind has one body over simulate: openLoop (Bernoulli arrivals at one
-// offered rate, walked by ladder) and Options.traceJob (core.go).
+// offered rate, walked by ladder) and a trace replay priced by
+// Options.priceTrace (core.go).
 
 // fabric is one resolved (kind, geometry, design point) environment: the
 // built network, its routing table and, when the sweep prices energy, the

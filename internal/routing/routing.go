@@ -218,19 +218,71 @@ type dirRoles struct {
 
 // buildRoles classifies every channel of a monotone-kind network into
 // direction roles. Row/column-closure channels (datelines) serve both ring
-// directions: their wrap role covers the complementary stride.
+// directions: their wrap role covers the complementary stride. A first
+// pass counts each list's roles, so every list is a capacity-capped
+// window of one arena.
 func buildRoles(net *topology.Network) *dirRoles {
 	nn := net.NumNodes()
+	lists := make([][]dirLink, 4*nn) // east, west, south, north
 	r := &dirRoles{
-		east:  make([][]dirLink, nn),
-		west:  make([][]dirLink, nn),
-		south: make([][]dirLink, nn),
-		north: make([][]dirLink, nn),
+		east:  lists[:nn:nn],
+		west:  lists[nn : 2*nn : 2*nn],
+		south: lists[2*nn : 3*nn : 3*nn],
+		north: lists[3*nn:],
 	}
-	addRole := func(m [][]dirLink, at topology.NodeID, stride int, id topology.LinkID) {
+	const east, west, south, north = 0, 1, 2, 3
+	// roles calls add for every role of every channel; dir*nn + at
+	// indexes the role's list.
+	roles := func(add func(list, stride int, id topology.LinkID)) {
+		for _, l := range net.Links {
+			at := int(l.Src)
+			if dx := l.DX(net); dx != 0 {
+				if dx > 0 {
+					add(east*nn+at, dx, l.ID)
+					if l.Dateline {
+						add(west*nn+at, net.Width-dx, l.ID)
+					}
+				} else {
+					add(west*nn+at, -dx, l.ID)
+					if l.Dateline {
+						add(east*nn+at, net.Width+dx, l.ID)
+					}
+				}
+				continue
+			}
+			if dy := l.DY(net); dy != 0 {
+				if dy > 0 {
+					add(south*nn+at, dy, l.ID)
+					if l.Dateline {
+						add(north*nn+at, net.Height-dy, l.ID)
+					}
+				} else {
+					add(north*nn+at, -dy, l.ID)
+					if l.Dateline {
+						add(south*nn+at, net.Height+dy, l.ID)
+					}
+				}
+			}
+		}
+	}
+	count := make([]int, len(lists))
+	total := 0
+	roles(func(list, _ int, _ topology.LinkID) {
+		count[list]++
+		total++
+	})
+	arena := make([]dirLink, total)
+	off := 0
+	for i, c := range count {
+		if c > 0 {
+			lists[i] = arena[off : off : off+c]
+			off += c
+		}
+	}
+	roles(func(list, stride int, id topology.LinkID) {
 		// Keep role lists sorted by descending stride; on ties the
 		// lower link ID (base before express) wins.
-		ls := m[at]
+		ls := lists[list]
 		pos := len(ls)
 		for i, d := range ls {
 			if stride > d.stride {
@@ -241,37 +293,8 @@ func buildRoles(net *topology.Network) *dirRoles {
 		ls = append(ls, dirLink{})
 		copy(ls[pos+1:], ls[pos:])
 		ls[pos] = dirLink{stride: stride, id: id}
-		m[at] = ls
-	}
-	for _, l := range net.Links {
-		if dx := l.DX(net); dx != 0 {
-			if dx > 0 {
-				addRole(r.east, l.Src, dx, l.ID)
-				if l.Dateline {
-					addRole(r.west, l.Src, net.Width-dx, l.ID)
-				}
-			} else {
-				addRole(r.west, l.Src, -dx, l.ID)
-				if l.Dateline {
-					addRole(r.east, l.Src, net.Width+dx, l.ID)
-				}
-			}
-			continue
-		}
-		if dy := l.DY(net); dy != 0 {
-			if dy > 0 {
-				addRole(r.south, l.Src, dy, l.ID)
-				if l.Dateline {
-					addRole(r.north, l.Src, net.Height-dy, l.ID)
-				}
-			} else {
-				addRole(r.north, l.Src, -dy, l.ID)
-				if l.Dateline {
-					addRole(r.south, l.Src, net.Height+dy, l.ID)
-				}
-			}
-		}
-	}
+		lists[list] = ls
+	})
 	return r
 }
 

@@ -62,6 +62,8 @@ type KindSpec struct {
 	// Validate checks kind-specific constraints beyond the common ones.
 	Validate func(c Config) error
 	// Wire appends the kind's channels to a freshly allocated network.
+	// Build calls it twice, first to size Links, so it must add the same
+	// channels on every call.
 	Wire func(c Config, n *Network)
 	// Distance returns the minimal hop distance of the kind's base fabric
 	// (ignoring express shortcuts).

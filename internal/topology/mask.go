@@ -29,22 +29,14 @@ func (n *Network) MaskLinks(down []bool) (*Network, error) {
 	if !any {
 		return n, nil
 	}
-	m := &Network{Config: n.Config, Links: n.Links, spec: n.spec, masked: true}
-	nn := n.NumNodes()
-	m.out = make([][]LinkID, nn)
-	m.in = make([][]LinkID, nn)
-	for id := 0; id < nn; id++ {
-		for _, lid := range n.out[id] {
-			if !down[lid] {
-				m.out[id] = append(m.out[id], lid)
-			}
-		}
-		for _, lid := range n.in[id] {
-			if !down[lid] {
-				m.in[id] = append(m.in[id], lid)
-			}
-		}
+	// A channel is gone from the view when it is down now or was already
+	// absent from n.
+	gone := make([]bool, len(down))
+	for id, d := range down {
+		gone[id] = d || !n.linkPresent(LinkID(id))
 	}
+	m := &Network{Config: n.Config, Links: n.Links, spec: n.spec, masked: true}
+	m.index(gone)
 	return m, nil
 }
 

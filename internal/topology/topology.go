@@ -171,6 +171,9 @@ type Network struct {
 	// routing backends (which assume the kind's full wiring) do not
 	// apply and routing must fall back to the generic BFS builder.
 	masked bool
+	// sized counts the channels of Build's sizing pass, the wiring run
+	// while Links is still nil.
+	sized int
 }
 
 // Build constructs the network for a configuration, dispatching to the
@@ -185,20 +188,26 @@ func Build(c Config) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{Config: c, spec: spec}
-	nn := c.Width * c.Height
-	n.out = make([][]LinkID, nn)
-	n.in = make([][]LinkID, nn)
+	// The first pass only counts the kind's channels, so the second
+	// appends into a Links slice of exactly that size.
 	spec.Wire(c, n)
+	n.Links = make([]Link, 0, n.sized)
+	spec.Wire(c, n)
+	n.index(nil)
 	return n, nil
 }
 
 // addPair appends the two unidirectional channels of one bidirectional
-// link; kind wiring functions build every network through it.
+// link; kind wiring functions build every network through it. While
+// Links is nil (Build's sizing pass) it only counts them.
 func (n *Network) addPair(a, b NodeID, t tech.Technology, lengthM float64, express, dateline bool) {
+	if n.Links == nil {
+		n.sized += 2
+		return
+	}
 	for _, e := range [2][2]NodeID{{a, b}, {b, a}} {
-		id := LinkID(len(n.Links))
 		n.Links = append(n.Links, Link{
-			ID:          id,
+			ID:          LinkID(len(n.Links)),
 			Src:         e[0],
 			Dst:         e[1],
 			Tech:        t,
@@ -208,8 +217,39 @@ func (n *Network) addPair(a, b NodeID, t tech.Technology, lengthM float64, expre
 			Express:     express,
 			Dateline:    dateline,
 		})
-		n.out[e[0]] = append(n.out[e[0]], id)
-		n.in[e[1]] = append(n.in[e[1]], id)
+	}
+}
+
+// index builds the adjacency lists from Links, leaving out every channel
+// whose entry in gone is true (a nil gone leaves out none). Each node's
+// lists hold its channels in link-ID order, as capacity-capped windows of
+// one arena: appending to one node's list cannot overwrite another's.
+func (n *Network) index(gone []bool) {
+	nn := n.NumNodes()
+	deg := make([]int, 2*nn) // out-degrees, then in-degrees
+	kept := 0
+	for i, l := range n.Links {
+		if gone == nil || !gone[i] {
+			deg[l.Src]++
+			deg[nn+int(l.Dst)]++
+			kept++
+		}
+	}
+	adj := make([][]LinkID, 2*nn)
+	arena := make([]LinkID, 2*kept)
+	off := 0
+	for v, d := range deg {
+		if d > 0 {
+			adj[v] = arena[off : off : off+d]
+			off += d
+		}
+	}
+	n.out, n.in = adj[:nn:nn], adj[nn:]
+	for i, l := range n.Links {
+		if gone == nil || !gone[i] {
+			n.out[l.Src] = append(n.out[l.Src], LinkID(i))
+			n.in[l.Dst] = append(n.in[l.Dst], LinkID(i))
+		}
 	}
 }
 
