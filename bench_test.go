@@ -236,7 +236,9 @@ func BenchmarkFig6NPBLatency(b *testing.B) {
 
 // BenchmarkTableVDynamicEnergy regenerates the FT dynamic-energy comparison
 // (reduced scale): electronic vs photonic vs HyPPI express at 3 hops
-// (paper: 0.0054 / 0.9353 / 0.0049 J, base mesh 0.0042 J).
+// (paper: 0.0054 / 0.9353 / 0.0049 J, base mesh 0.0042 J). The four points
+// run as one trace batch, so the photonic and HyPPI points, whose express
+// links time alike, share one FT simulation.
 func BenchmarkTableVDynamicEnergy(b *testing.B) {
 	pts := []core.DesignPoint{
 		{Base: tech.Electronic, Express: tech.Electronic, Hops: 0},
@@ -244,22 +246,23 @@ func BenchmarkTableVDynamicEnergy(b *testing.B) {
 		{Base: tech.Electronic, Express: tech.Photonic, Hops: 3},
 		{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3},
 	}
-	o := warmOptions(b, pts)
-	var base, elec, photonic, hyppi float64
-	for i := 0; i < b.N; i++ {
-		run := func(p core.DesignPoint) float64 {
-			res, err := core.RunTraceExperiment(benchTraceCfg(npb.FT), p, o, noc.DefaultConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			return res.DynamicEnergyJ
-		}
-		base, elec, photonic, hyppi = run(pts[0]), run(pts[1]), run(pts[2]), run(pts[3])
+	jobs := make([]core.TraceJob, len(pts))
+	for i, p := range pts {
+		jobs[i] = core.TraceJob{Kernel: benchTraceCfg(npb.FT), Point: p}
 	}
-	b.ReportMetric(base*1e6, "base_µJ")
-	b.ReportMetric(elec*1e6, "elec_h3_µJ")
-	b.ReportMetric(photonic*1e6, "photonic_h3_µJ")
-	b.ReportMetric(hyppi*1e6, "hyppi_h3_µJ")
+	o := warmOptions(b, pts)
+	var res []core.TraceResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		res, err = core.RunTraceExperiments(context.Background(), jobs, o, noc.DefaultConfig(), runner.Config{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(res[0].DynamicEnergyJ*1e6, "base_µJ")
+	b.ReportMetric(res[1].DynamicEnergyJ*1e6, "elec_h3_µJ")
+	b.ReportMetric(res[2].DynamicEnergyJ*1e6, "photonic_h3_µJ")
+	b.ReportMetric(res[3].DynamicEnergyJ*1e6, "hyppi_h3_µJ")
 }
 
 // BenchmarkTableVIRouters regenerates the optical router comparison and the

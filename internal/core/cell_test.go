@@ -85,3 +85,78 @@ func TestEvalCellsErrorIsolation(t *testing.T) {
 		t.Errorf("healthy cell after a failure %+v != alone %+v", after, solo)
 	}
 }
+
+// TestPriceSharedRunMatchesEval: a pattern cell, a trace cell and a
+// saturated cell on photonic express time alike with their HyPPI twins,
+// and each, priced from the twin's run, answers exactly as Eval of that
+// cell alone. Electronic express, and another load, do not time alike.
+func TestPriceSharedRunMatchesEval(t *testing.T) {
+	uniform := mustPattern(t, "uniform")
+	lu := npb.DefaultConfig(npb.LU)
+	lu.GridW, lu.GridH = 4, 4
+	saturating := cellSweepConfig()
+	saturating.NoC.MaxCycles = 500
+	o := DefaultOptions()
+	cases := []struct {
+		name string
+		cell EvalCell
+		sc   EnergySweepConfig
+	}{
+		{"pattern", EvalCell{Width: 4, Height: 4, Pattern: uniform, Rate: 0.1, Energy: true}, cellSweepConfig()},
+		{"trace", EvalCell{Width: 4, Height: 4, Trace: &lu, Energy: true}, cellSweepConfig()},
+		{"saturated", EvalCell{Width: 4, Height: 4, Pattern: uniform, Rate: 0.9, Energy: true}, saturating},
+	}
+	resolve := func(c EvalCell, sc EnergySweepConfig, express tech.Technology) (EvalCell, Timing) {
+		t.Helper()
+		c.Point = DesignPoint{Base: tech.Electronic, Express: express, Hops: 2}
+		tm, err := Resolve(c, sc, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, tm
+	}
+	for _, tc := range cases {
+		hyppi, th := resolve(tc.cell, tc.sc, tech.HyPPI)
+		photonic, tp := resolve(tc.cell, tc.sc, tech.Photonic)
+		unpriced := tc.cell
+		unpriced.Energy = false
+		latency, tl := resolve(unpriced, tc.sc, tech.Photonic)
+		if !th.Alike(tp) || !th.Alike(tl) {
+			t.Fatalf("%s: HyPPI and photonic express do not time alike", tc.name)
+		}
+		if _, te := resolve(tc.cell, tc.sc, tech.Electronic); th.Alike(te) {
+			t.Errorf("%s: electronic express times alike with HyPPI express", tc.name)
+		}
+		run := th.Simulate()
+		if run.sat != (tc.name == "saturated") {
+			t.Fatalf("%s: run saturated %v", tc.name, run.sat)
+		}
+		priced := map[string]EvalCellResult{}
+		for name, c := range map[string]struct {
+			cell EvalCell
+			tm   Timing
+		}{"HyPPI": {hyppi, th}, "photonic": {photonic, tp}, "photonic latency": {latency, tl}} {
+			got, err := c.tm.Price(run)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, name, err)
+			}
+			want, err := Eval(c.cell, tc.sc, o)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s priced from the shared run:\n got %+v\nwant %+v", tc.name, name, got, want)
+			}
+			priced[name] = got
+		}
+		if !run.sat && priced["HyPPI"].Run == priced["photonic"].Run {
+			t.Errorf("%s: HyPPI and photonic express priced alike", tc.name)
+		}
+	}
+	pattern := cases[0]
+	_, th := resolve(pattern.cell, pattern.sc, tech.HyPPI)
+	pattern.cell.Rate = 0.05
+	if _, tp := resolve(pattern.cell, pattern.sc, tech.Photonic); th.Alike(tp) {
+		t.Error("two loads time alike")
+	}
+}

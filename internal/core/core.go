@@ -14,7 +14,11 @@
 //	FaultSweep          — availability and CLEAR degradation under faults
 //	TaskGraphSweep      — closed-loop operator-graph makespans
 //	TelemetrySweep      — sampled packet traces and windowed probes
-//	Eval                — one serving cell (a single query)
+//	Eval                — one serving cell (a single query), in two
+//	                      steps: the timing step (Resolve, then
+//	                      Timing.Simulate) and the pricing step
+//	                      (Timing.Price), so cells that time alike
+//	                      can share one Run
 //
 // The cycle-accurate families share one engine (sweep.go): a fabric
 // resolver and a single simulate step over a batch-wide simulator pool.
@@ -464,9 +468,8 @@ type traceBatch struct {
 
 // planTraces resolves a batch's jobs and groups them. Jobs share a trace
 // when they replay the same packets (see TraceJob.key), and a timing run
-// when they also simulate identically: the same wiring, the same next
-// hops and the same latency on every link. Each job is compared only with
-// the first job of each group formed before it.
+// when they also simulate identically (sameTiming). Each job is compared
+// only with the first job of each group formed before it.
 func (o Options) planTraces(jobs []TraceJob) traceBatch {
 	b := traceBatch{
 		fabs:   make([]fabric, len(jobs)),
@@ -498,20 +501,9 @@ func (o Options) planTraces(jobs []TraceJob) traceBatch {
 }
 
 // sameTiming reports whether jobs i and j simulate identically: they
-// replay one trace on networks the kernel cannot tell apart. The kernel
-// reads a link's technology only for the per-class census, which
-// timingRun.result re-derives per member.
+// replay one trace on fabrics that time alike.
 func (b *traceBatch) sameTiming(i, j int) bool {
-	fi, fj := b.fabs[i], b.fabs[j]
-	if b.traces[i] != b.traces[j] || !fi.net.SameWiring(fj.net) || !fi.tab.SameRoutes(fj.tab) {
-		return false
-	}
-	for l := range fi.net.Links {
-		if fi.net.Links[l].LatencyClks != fj.net.Links[l].LatencyClks {
-			return false
-		}
-	}
-	return true
+	return b.traces[i] == b.traces[j] && b.fabs[i].timesAlike(b.fabs[j])
 }
 
 // RunTraceExperiments executes a batch of independent trace simulations on

@@ -61,6 +61,25 @@ func (o Options) resolve(p DesignPoint, priced bool) (fabric, error) {
 	return f, nil
 }
 
+// timesAlike reports whether the kernel cannot tell two fabrics apart:
+// the same wiring, the same next hops and the same latency on every link.
+// The kernel reads a link's technology only to file its traversals under
+// a technology class, so one workload simulates on both cycle for cycle.
+// Table II gives every optical technology a 2-clock link: HyPPI and
+// photonic express at one hop length time alike, electronic express (1
+// clock) does not.
+func (f fabric) timesAlike(g fabric) bool {
+	if !f.net.SameWiring(g.net) || !f.tab.SameRoutes(g.tab) {
+		return false
+	}
+	for l := range f.net.Links {
+		if f.net.Links[l].LatencyClks != g.net.Links[l].LatencyClks {
+			return false
+		}
+	}
+	return true
+}
+
 // priced returns the fabric with an energy model folded under cfg.
 func (f fabric) priced(cfg dsent.Config) (fabric, error) {
 	m, err := energy.NewModel(f.net, cfg)

@@ -9,12 +9,22 @@
 // # Engine
 //
 // Engine layers the serving concerns over the repository's evaluation
-// core (one core.Eval call per evaluated query):
+// core, core.Eval's timing step (core.Resolve, Timing.Simulate) and
+// pricing step (Timing.Price):
 //
 //   - a keyed result cache: queries are canonicalized (registry-cased
 //     names, defaults folded) and identical queries share one result,
 //   - single-flight dedup: identical in-flight queries join the same
 //     evaluation instead of re-running it,
+//   - one simulation per timing model: queries of one workload (the
+//     canonical query without want, base and express) whose fabrics time
+//     alike (core.Timing.Alike: the same wiring, next hops and link
+//     latencies, as HyPPI and photonic express at one hop length) share
+//     one kernel run and are priced apart, each on its own fabric and
+//     energy model; a query joining a run in flight waits without holding
+//     an evaluator, and a run is dropped with the last cached answer
+//     priced from it. Stats.Simulations counts kernel runs beside
+//     Stats.Evaluations (one per distinct canonical query),
 //   - an evaluator pool: Config.Workers goroutines each take one queued
 //     query and answer it as soon as its own cell is evaluated, so a
 //     cheap query never waits for a slow one; networks and tables are

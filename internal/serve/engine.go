@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,8 +110,11 @@ type Stats struct {
 	// Evaluations counts cells actually evaluated (one per distinct
 	// canonical query, however many clients asked for it).
 	Evaluations uint64
-	// Batches equals Evaluations: each evaluation is one core.Eval
-	// call. It is kept because perfbench's serve workload reads it.
+	// Simulations counts kernel runs. Evaluations that time alike share
+	// one (see Engine), so it never exceeds Evaluations.
+	Simulations uint64
+	// Batches equals Evaluations. It is kept because perfbench's serve
+	// workload reads it.
 	Batches uint64
 	// Rejected counts queue-full backpressure rejections.
 	Rejected uint64
@@ -139,14 +143,16 @@ func (s Stats) HitRate() float64 {
 // lands; res/err are immutable afterwards. Waiters joining before
 // completion are the single-flight dedup path; joiners after completion
 // are plain cache hits — both read the same bytes. elem is the entry's
-// recency-list position (front = most recent), owned by Engine.mu.
-// Eviction only unlinks an entry from the cache: waiters already holding
-// it still complete normally.
+// recency-list position (front = most recent) and run the simulation it
+// was priced from (nil when it failed before simulating), both owned by
+// Engine.mu. Eviction only unlinks an entry from the cache: waiters
+// already holding it still complete normally.
 type entry struct {
 	done chan struct{}
 	res  *Result
 	err  *Error
 	elem *list.Element
+	run  *run
 }
 
 // job pairs a cache entry with the canonical request that fills it.
@@ -155,9 +161,43 @@ type job struct {
 	ent   *entry
 }
 
+// pricing is a job resolved for its timing step, waiting for a run.
+type pricing struct {
+	j *job
+	t core.Timing
+}
+
+// run is one simulation that the cached queries of one workload share
+// when they time alike (core.Timing.Alike). The first evaluator to need
+// it simulates; an evaluator whose query joins it in flight files a
+// pricing and goes back to the queue, and the simulating evaluator prices
+// every filed query when the run lands. refs counts the cache entries
+// naming the run: the last one evicted drops it from the index. All but
+// res are owned by Engine.mu; res is immutable once landed is set.
+type run struct {
+	workload string
+	timing   core.Timing
+	res      core.Run
+	landed   bool
+	waiting  []pricing
+	refs     int
+}
+
+// price answers a job from a landed run and completes its entry.
+func (p pricing) price(res core.Run) {
+	if r, err := p.t.Price(res); err != nil {
+		p.j.ent.err = errf(CodeEvalFailed, "", "%v", err)
+	} else {
+		p.j.ent.res = buildResult(p.j.canon, r)
+	}
+	close(p.j.ent.done)
+}
+
 // Engine is the query-serving core: a keyed result cache with
 // single-flight deduplication in front of a pool of Config.Workers
-// evaluators, each answering one queued query at a time. Responses are
+// evaluators, each answering one queued query at a time. Queries that
+// differ only in the figure wanted or in technologies the kernel cannot
+// tell apart share one simulation and are priced apart. Responses are
 // deterministic: a query's result is a pure function of its canonical
 // form, so concurrent clients receive answers bit-identical to serial
 // evaluation, however requests interleave or dedup (the CONCURRENCY
@@ -172,6 +212,9 @@ type Engine struct {
 	// Config.CacheEntries the least-recently-used completed entry is
 	// evicted to admit a new query.
 	lru *list.List
+	// runs indexes the simulations the cached entries name by workload
+	// (Request.workloadKey), in formation order.
+	runs map[string][]*run
 
 	// draining marks the graceful-shutdown window: transports refuse new
 	// queries (HTTP 503 / code "draining") while queries already accepted
@@ -181,7 +224,7 @@ type Engine struct {
 	queue        chan *job
 	evaluatorsWG sync.WaitGroup
 
-	hits, misses, evals, rejected, evictions atomic.Uint64
+	hits, misses, evals, sims, rejected, evictions atomic.Uint64
 
 	// start anchors the uptime gauge; the latency fields feed the
 	// /metrics service-latency histogram (latMu keeps hist+sum+overflow
@@ -192,10 +235,10 @@ type Engine struct {
 	latSum  float64
 	latOver int64
 
-	// evalHook, when set before the first query, runs just before every
-	// evaluation (test instrumentation: the single-flight tests gate
-	// evaluation on it).
-	evalHook func()
+	// simHook, when set before the first query, runs just before every
+	// simulation (test instrumentation: the single-flight and sharing
+	// tests gate simulation on it).
+	simHook func()
 }
 
 // Service-latency histogram shape: fixed-width buckets over [0,
@@ -216,6 +259,7 @@ func NewEngine(cfg Config) *Engine {
 		cfg:     cfg.withDefaults(),
 		cache:   make(map[string]*entry),
 		lru:     list.New(),
+		runs:    make(map[string][]*run),
 		start:   time.Now(),
 		latHist: hist,
 	}
@@ -257,6 +301,7 @@ func (e *Engine) Stats() Stats {
 		Hits:          e.hits.Load(),
 		Misses:        e.misses.Load(),
 		Evaluations:   e.evals.Load(),
+		Simulations:   e.sims.Load(),
 		Batches:       e.evals.Load(),
 		Rejected:      e.rejected.Load(),
 		Evictions:     e.evictions.Load(),
@@ -353,6 +398,7 @@ func (e *Engine) evictLocked() bool {
 		key := el.Value.(string)
 		select {
 		case <-e.cache[key].done:
+			e.releaseLocked(e.cache[key].run)
 			delete(e.cache, key)
 			e.lru.Remove(el)
 			e.evictions.Add(1)
@@ -363,22 +409,83 @@ func (e *Engine) evictLocked() bool {
 	return false
 }
 
+// releaseLocked drops an evicted entry's claim on its run, and the run
+// from the index with the last claim. Callers hold e.mu.
+func (e *Engine) releaseLocked(r *run) {
+	if r == nil {
+		return
+	}
+	if r.refs--; r.refs > 0 {
+		return
+	}
+	runs := e.runs[r.workload]
+	if i := slices.Index(runs, r); i >= 0 {
+		runs = slices.Delete(runs, i, i+1)
+	}
+	if len(runs) == 0 {
+		delete(e.runs, r.workload)
+	} else {
+		e.runs[r.workload] = runs
+	}
+}
+
 // evaluate is one evaluator: it takes queued jobs one at a time and
-// completes each entry as soon as its own cell is evaluated, so a cheap
+// completes each entry as soon as its own cell is priced, so a cheap
 // query never waits for a slow one another evaluator holds.
 func (e *Engine) evaluate() {
 	defer e.evaluatorsWG.Done()
 	for j := range e.queue {
-		if e.evalHook != nil {
-			e.evalHook()
-		}
 		e.evals.Add(1)
-		if r, err := core.Eval(e.cellFor(j.canon), e.cfg.Sweep, e.cfg.Options); err != nil {
-			j.ent.err = errf(CodeEvalFailed, "", "%v", err)
-		} else {
-			j.ent.res = buildResult(j.canon, r)
-		}
+		e.answer(j)
+	}
+}
+
+// answer resolves a job's timing step and prices it from the first run
+// of its workload that times alike: at once when that run has landed,
+// when it lands if it is in flight (without holding this evaluator), or
+// after simulating a new run when there is none.
+func (e *Engine) answer(j *job) {
+	t, err := core.Resolve(e.cellFor(j.canon), e.cfg.Sweep, e.cfg.Options)
+	if err != nil {
+		j.ent.err = errf(CodeEvalFailed, "", "%v", err)
 		close(j.ent.done)
+		return
+	}
+	p := pricing{j: j, t: t}
+	key := j.canon.workloadKey()
+	e.mu.Lock()
+	runs := e.runs[key]
+	if i := slices.IndexFunc(runs, func(r *run) bool { return r.timing.Alike(t) }); i >= 0 {
+		r := runs[i]
+		r.refs++
+		j.ent.run = r
+		if !r.landed {
+			r.waiting = append(r.waiting, p)
+			e.mu.Unlock()
+			return
+		}
+		e.mu.Unlock()
+		p.price(r.res)
+		return
+	}
+	r := &run{workload: key, timing: t, refs: 1}
+	e.runs[key] = append(runs, r)
+	j.ent.run = r
+	e.mu.Unlock()
+
+	if e.simHook != nil {
+		e.simHook()
+	}
+	e.sims.Add(1)
+	res := t.Simulate()
+	e.mu.Lock()
+	r.res, r.landed = res, true
+	waiting := r.waiting
+	r.waiting = nil
+	e.mu.Unlock()
+	p.price(res)
+	for _, w := range waiting {
+		w.price(res)
 	}
 }
 

@@ -75,21 +75,25 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 	if st.Evaluations != 10 {
 		t.Errorf("want 10 evaluations for 10 distinct queries, got %d (stats %+v)", st.Evaluations, st)
 	}
+	// The latency, CLEAR and energy queries of uniform at 0.05 share a run.
+	if st.Simulations != 8 {
+		t.Errorf("want 8 simulations for 10 distinct queries, got %d (stats %+v)", st.Simulations, st)
+	}
 	if st.Hits != uint64(len(reqs))-10 {
 		t.Errorf("want %d hits, got %d", len(reqs)-10, st.Hits)
 	}
 }
 
-// gateEngine installs an evaluation gate on a one-evaluator engine: every
-// evaluation announces itself on entered and blocks until a value arrives
-// on release, so at most one evaluation is ever busy.
+// gateEngine installs a simulation gate on a one-evaluator engine: every
+// simulation announces itself on entered and blocks until a value arrives
+// on release, so at most one simulation is ever busy.
 func gateEngine(t *testing.T, mutate ...func(*Config)) (*Engine, chan struct{}, chan struct{}) {
 	t.Helper()
 	oneEvaluator := func(c *Config) { c.Workers = 1 }
 	e := newTestEngine(t, append(mutate, oneEvaluator)...)
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	e.evalHook = func() {
+	e.simHook = func() {
 		entered <- struct{}{}
 		<-release
 	}
@@ -229,7 +233,7 @@ func TestCloseRejectsNewQueries(t *testing.T) {
 	// is a hang or a send on the closed queue (the race build checks it).
 }
 
-// TestNoHeadOfLine: with two evaluators, a slow evaluation does not hold
+// TestNoHeadOfLine: with two evaluators, a slow simulation does not hold
 // up a distinct query behind it — the second query is answered while the
 // first is still held.
 func TestNoHeadOfLine(t *testing.T) {
@@ -237,7 +241,7 @@ func TestNoHeadOfLine(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var held atomic.Bool
-	e.evalHook = func() {
+	e.simHook = func() {
 		if held.CompareAndSwap(false, true) {
 			close(entered)
 			<-release

@@ -74,15 +74,18 @@ type Report struct {
 	HitRate float64
 	// Distinct is the number of evaluations this run triggered.
 	Distinct uint64
+	// Simulations is the number of kernel runs this run triggered: the
+	// distinct queries that time alike share one.
+	Simulations uint64
 	// Stats snapshots the engine counters at the end of the run.
 	Stats serve.Stats
 }
 
 // String renders the one-line summary the CLI prints.
 func (r Report) String() string {
-	return fmt.Sprintf("loadtest: %d queries (%d ok, %d failed) in %s = %.1f q/s, hit rate %.1f%%, %d evaluated",
+	return fmt.Sprintf("loadtest: %d queries (%d ok, %d failed) in %s = %.1f q/s, hit rate %.1f%%, %d evaluated, %d simulated",
 		r.Queries, r.OK, r.Failed, r.Duration.Round(time.Millisecond), r.QPS,
-		100*r.HitRate, r.Distinct)
+		100*r.HitRate, r.Distinct, r.Simulations)
 }
 
 // Run replays the mix until cfg.Queries queries have been answered and
@@ -132,12 +135,13 @@ func Run(ctx context.Context, e *serve.Engine, cfg Config) (Report, error) {
 
 	after := e.Stats()
 	rep := Report{
-		Queries:  int(ok.Load() + failed.Load()),
-		OK:       int(ok.Load()),
-		Failed:   int(failed.Load()),
-		Duration: time.Since(start),
-		Distinct: after.Evaluations - before.Evaluations,
-		Stats:    after,
+		Queries:     int(ok.Load() + failed.Load()),
+		OK:          int(ok.Load()),
+		Failed:      int(failed.Load()),
+		Duration:    time.Since(start),
+		Distinct:    after.Evaluations - before.Evaluations,
+		Simulations: after.Simulations - before.Simulations,
+		Stats:       after,
 	}
 	rep.QPS = float64(rep.Queries) / rep.Duration.Seconds()
 	hits := after.Hits - before.Hits

@@ -19,8 +19,8 @@ func fastEngine(t *testing.T) *serve.Engine {
 }
 
 // TestRunReportsRateAndHits: cycling the 12-query mix 10× must answer
-// every query, evaluate each distinct query once, and land the hit rate
-// at 108/120.
+// every query, evaluate each distinct query once in 10 simulations, and
+// land the hit rate at 108/120.
 func TestRunReportsRateAndHits(t *testing.T) {
 	e := fastEngine(t)
 	rep, err := Run(context.Background(), e, Config{Queries: 120, Clients: 8})
@@ -32,6 +32,10 @@ func TestRunReportsRateAndHits(t *testing.T) {
 	}
 	if rep.Distinct != uint64(len(DefaultMix())) {
 		t.Errorf("want %d distinct evaluations, got %d", len(DefaultMix()), rep.Distinct)
+	}
+	// The latency, CLEAR and energy queries of uniform at 0.05 share one.
+	if rep.Simulations != 10 {
+		t.Errorf("want 10 simulations, got %d", rep.Simulations)
 	}
 	if want := 1 - float64(len(DefaultMix()))/120.0; rep.HitRate != want {
 		t.Errorf("want hit rate %.3f, got %.3f", want, rep.HitRate)

@@ -65,6 +65,8 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 
 	counter("hyppi_serve_evaluations_total",
 		"Simulation cells evaluated (one per distinct canonical query).", st.Evaluations)
+	counter("hyppi_serve_simulations_total",
+		"Kernel runs (cells that time alike share one).", st.Simulations)
 	counter("hyppi_serve_cache_evictions_total",
 		"Completed cache entries dropped by the LRU bound.", st.Evictions)
 

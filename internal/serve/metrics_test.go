@@ -90,6 +90,7 @@ func TestMetricsFormatAndCounts(t *testing.T) {
 		`hyppi_serve_queries_total{result="miss"}`:     float64(st.Misses),
 		`hyppi_serve_queries_total{result="rejected"}`: float64(st.Rejected),
 		`hyppi_serve_evaluations_total`:                float64(st.Evaluations),
+		`hyppi_serve_simulations_total`:                float64(st.Simulations),
 		`hyppi_serve_cache_evictions_total`:            float64(st.Evictions),
 		`hyppi_serve_cache_entries`:                    float64(st.CacheEntries),
 		`hyppi_serve_draining`:                         0,

@@ -322,6 +322,14 @@ func techNames() string {
 	return strings.Join(names, ", ")
 }
 
+// workloadKey names what a canonicalized request simulates whatever its
+// technologies: the key without want, base and express. Queries of one
+// workload share a simulation when their fabrics time alike.
+func (r Request) workloadKey() string {
+	return fmt.Sprintf("%s|%dx%d|%d|%s|%s|%g",
+		r.Topology, r.Width, r.Height, r.Hops, r.Pattern, r.Kernel, r.Load)
+}
+
 // key is the cache identity of a canonicalized request: every field but
 // the client's opaque ID.
 func (r Request) key() string {
